@@ -4,7 +4,8 @@
 // Eq. 1): the learned MADE network (architecture B), the per-column
 // aggregation network (architecture A), or the scanning Oracle used for the
 // §6.7 microbenchmarks. The sampler drives a SamplingSession so stateful
-// models (the Oracle's shrinking row lists) can serve columns incrementally.
+// models (the Oracle's shrinking row lists, MADE's per-degree trunk) can
+// serve columns incrementally.
 #pragma once
 
 #include <memory>
@@ -18,14 +19,31 @@ namespace naru {
 
 /// A per-query stateful cursor over the model's conditionals.
 ///
-/// The sampler calls Dist with col = 0, 1, ..., in increasing order; before
-/// the call for column c, samples(r, j) holds the sampled code of column j
-/// for every j < c and every path r. Dist fills probs (batch x domain(col))
-/// with P̂(X_col = v | samples_<col>) for each path row.
+/// Dist fills probs (batch x domain(col)) with P̂(X_col = v | samples_<col)
+/// for each row r of `samples`, reading samples(r, j) for j < col only.
+///
+/// Call order: a session may keep per-row state between Dist calls (the
+/// Oracle's shrinking row groups, MADE's incremental trunk), so a caller
+/// must keep to one of two patterns.
+///   - An in-order walk: col = 0, 1, 2, ... on the same rows, where the
+///     caller only ever writes column col-1 of each row between the calls
+///     for col-1 and col (sampling writes the drawn value; dead paths
+///     write a fallback code). ProgressiveSampler and TupleGenerator walk
+///     this way.
+///   - A relayout: after the rows of `samples` stop continuing the walk
+///     the session has seen — rows forked, retired, reordered or replaced,
+///     even at an unchanged row count — the caller calls ResetWalk()
+///     before the next Dist. The sampling-plan executor does this after
+///     every boundary relayout. Sessions of models that declare
+///     SupportsStackedEvaluation() then accept any col, the way the first
+///     Dist of a fresh session does. Other sessions only restart at col 0.
 class SamplingSession {
  public:
   virtual ~SamplingSession() = default;
   virtual void Dist(const IntMatrix& samples, size_t col, Matrix* probs) = 0;
+  /// Drops any per-row state carried from earlier Dist calls (see above).
+  /// Default: a no-op, for sessions that keep none.
+  virtual void ResetWalk() {}
 };
 
 /// A joint distribution factored in column order (chain rule, §2.1).
@@ -131,18 +149,19 @@ class ConditionalModel {
   virtual void SetInferenceKernel(KernelKind kernel) { (void)kernel; }
   virtual KernelKind inference_kernel() const { return KernelKind::kScalar; }
 
-  /// True when this model's sampling sessions are PURE: Dist(samples, col)
-  /// is a function of its arguments alone — callable at any column without
-  /// prior calls, with any row count, and row-independent, so rows from
-  /// unrelated walks may be stacked into one matrix and evaluated in one
-  /// call with per-row results bit-identical to evaluating each walk
-  /// separately. This is the contract the sampling-plan executor
-  /// (src/plan) relies on for both prefix forking (resume a walk at column
-  /// L through a fresh session) and cross-query GEMM fusion (one stacked
-  /// forward pass for a plan tree's whole frontier). Feed-forward models whose
-  /// sessions recompute from the prefix (MADE) declare this; models with
-  /// incremental per-session state (the Oracle's shrinking row lists) must
-  /// not.
+  /// True when this model's sampling sessions are RESUMABLE and
+  /// ROW-INDEPENDENT: a fresh (or ResetWalk) session answers Dist at any
+  /// column with any row count, and each row's result depends on that
+  /// row's codes alone, so rows from unrelated walks may be stacked into
+  /// one matrix and evaluated in one call with per-row results
+  /// bit-identical to evaluating each walk separately. This is the
+  /// contract the sampling-plan executor (src/plan) relies on for both
+  /// prefix forking (resume a walk at column L after a relayout) and
+  /// cross-query GEMM fusion (one stacked forward pass for a plan tree's
+  /// whole frontier). Feed-forward models declare this (MADE, whose
+  /// in-order walk state is per row, and the transformer); models whose
+  /// session state cannot restart mid-walk (the Oracle's shrinking row
+  /// lists) must not.
   virtual bool SupportsStackedEvaluation() const { return false; }
 
   /// Dominant GEMM inner width of the stacked inference path (the widest

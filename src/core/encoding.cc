@@ -44,42 +44,54 @@ InputEncoder::InputEncoder(const std::vector<size_t>& domains,
 
 void InputEncoder::EncodeColumns(const IntMatrix& codes, size_t upto,
                                  Matrix* x) const {
-  const size_t batch = codes.rows();
-  x->Resize(batch, total_width_);
+  x->Resize(codes.rows(), total_width_);
   x->Zero();
-  for (size_t c = 0; c < upto; ++c) {
-    const size_t off = offsets_[c];
-    switch (kinds_[c]) {
-      case ColEncoding::kOneHot:
-        for (size_t r = 0; r < batch; ++r) {
-          const int32_t code = codes.At(r, c);
-          NARU_DCHECK(code >= 0 &&
-                      static_cast<size_t>(code) < domains_[c]);
-          x->At(r, off + static_cast<size_t>(code)) = 1.0f;
-        }
-        break;
-      case ColEncoding::kBinary:
-        for (size_t r = 0; r < batch; ++r) {
-          const uint32_t code = static_cast<uint32_t>(codes.At(r, c));
-          for (size_t b = 0; b < widths_[c]; ++b) {
-            x->At(r, off + b) = (code >> b) & 1u ? 1.0f : 0.0f;
-          }
-        }
-        break;
-      case ColEncoding::kEmbedding: {
-        // Row-strided gather (codes are row-major tuples).
-        const Matrix& table = embeddings_[c]->table().value;
-        for (size_t r = 0; r < batch; ++r) {
-          const int32_t code = codes.At(r, c);
-          NARU_DCHECK(code >= 0 &&
-                      static_cast<size_t>(code) < domains_[c]);
-          std::memcpy(x->Row(r) + off, table.Row(code),
-                      widths_[c] * sizeof(float));
-        }
-        break;
+  for (size_t c = 0; c < upto; ++c) WriteColumn(codes, c, x);
+}
+
+void InputEncoder::WriteColumn(const IntMatrix& codes, size_t c,
+                               Matrix* x) const {
+  const size_t batch = codes.rows();
+  const size_t off = offsets_[c];
+  switch (kinds_[c]) {
+    case ColEncoding::kOneHot:
+      for (size_t r = 0; r < batch; ++r) {
+        const int32_t code = codes.At(r, c);
+        NARU_DCHECK(code >= 0 && static_cast<size_t>(code) < domains_[c]);
+        x->At(r, off + static_cast<size_t>(code)) = 1.0f;
       }
+      break;
+    case ColEncoding::kBinary:
+      for (size_t r = 0; r < batch; ++r) {
+        const uint32_t code = static_cast<uint32_t>(codes.At(r, c));
+        for (size_t b = 0; b < widths_[c]; ++b) {
+          x->At(r, off + b) = (code >> b) & 1u ? 1.0f : 0.0f;
+        }
+      }
+      break;
+    case ColEncoding::kEmbedding: {
+      // Row-strided gather (codes are row-major tuples).
+      const Matrix& table = embeddings_[c]->table().value;
+      for (size_t r = 0; r < batch; ++r) {
+        const int32_t code = codes.At(r, c);
+        NARU_DCHECK(code >= 0 && static_cast<size_t>(code) < domains_[c]);
+        std::memcpy(x->Row(r) + off, table.Row(code),
+                    widths_[c] * sizeof(float));
+      }
+      break;
     }
   }
+}
+
+void InputEncoder::EncodeColumn(const IntMatrix& codes, size_t col,
+                                Matrix* x) const {
+  NARU_CHECK(x->rows() == codes.rows() && x->cols() == total_width_);
+  if (kinds_[col] == ColEncoding::kOneHot) {
+    for (size_t r = 0; r < codes.rows(); ++r) {
+      std::memset(x->Row(r) + offsets_[col], 0, widths_[col] * sizeof(float));
+    }
+  }
+  WriteColumn(codes, col, x);
 }
 
 void InputEncoder::EncodeBatch(const IntMatrix& codes, Matrix* x) const {

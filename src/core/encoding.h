@@ -71,6 +71,11 @@ class InputEncoder {
   void EncodeBatchPrefix(const IntMatrix& codes, size_t upto,
                          Matrix* x) const;
 
+  /// Overwrites only column `col`'s slice of an already-encoded x (batch x
+  /// total_width); every other slice is left as it is. Incremental
+  /// sampling walks use this to extend a prefix encoding by one column.
+  void EncodeColumn(const IntMatrix& codes, size_t col, Matrix* x) const;
+
   /// Scatters input gradients into the embedding tables (one-hot and
   /// binary slices have no parameters).
   void Backward(const IntMatrix& codes, const Matrix& dx);
@@ -83,6 +88,9 @@ class InputEncoder {
 
  private:
   void EncodeColumns(const IntMatrix& codes, size_t upto, Matrix* x) const;
+  /// Writes column `c`'s encoding into its slice of x; one-hot slices must
+  /// already be zero.
+  void WriteColumn(const IntMatrix& codes, size_t c, Matrix* x) const;
 
   std::vector<size_t> domains_;
   std::vector<ColEncoding> kinds_;

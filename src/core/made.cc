@@ -33,22 +33,23 @@ MadeModel::MadeModel(std::vector<size_t> domains, Config config)
   NARU_CHECK(n >= 1);
 
   // Input degrees: every input dimension carries its column index.
-  input_degrees_.reserve(encoder_.total_width());
+  std::vector<int> prev_deg;
+  prev_deg.reserve(encoder_.total_width());
   for (size_t c = 0; c < n; ++c) {
     for (size_t k = 0; k < encoder_.width(c); ++k) {
-      input_degrees_.push_back(static_cast<int>(c));
+      prev_deg.push_back(static_cast<int>(c));
     }
   }
 
   // Hidden degrees cycle over {0 .. n-2}: degree d = "sees columns <= d".
   const int max_deg = n >= 2 ? static_cast<int>(n) - 1 : 1;
-  std::vector<int> prev_deg = input_degrees_;
-  bool prev_is_input = true;
   for (size_t l = 0; l < config_.hidden_sizes.size(); ++l) {
     const size_t width = config_.hidden_sizes[l];
     std::vector<int> deg(width);
+    std::vector<std::vector<size_t>> units(static_cast<size_t>(max_deg));
     for (size_t k = 0; k < width; ++k) {
       deg[k] = static_cast<int>(k % static_cast<size_t>(max_deg));
+      units[static_cast<size_t>(deg[k])].push_back(k);
     }
     // input->hidden needs "hidden_deg >= input_col"; hidden->hidden needs
     // "out_deg >= in_deg". Both are the non-strict comparison, but for the
@@ -56,11 +57,9 @@ MadeModel::MadeModel(std::vector<size_t> domains, Config config)
     Matrix mask = BuildMask(prev_deg, deg, /*strict=*/false);
     hidden_.emplace_back(StrFormat("made.h%zu", l), prev_deg.size(), width,
                          std::move(mask), &rng_);
-    layer_degrees_.push_back(deg);
+    degree_units_.push_back(std::move(units));
     prev_deg = std::move(deg);
-    prev_is_input = false;
   }
-  (void)prev_is_input;
 
   // Output heads: block i may only read units with degree < i, hence the
   // strict mask. Column 0's head sees nothing (bias-only marginal start);
@@ -116,6 +115,49 @@ void MadeModel::ForwardTrunk(const IntMatrix& codes, size_t upto,
   }
 }
 
+void MadeModel::ZeroTrunk(size_t rows, EvalContext* ctx) const {
+  ctx->x.Resize(rows, encoder_.total_width());
+  ctx->x.Zero();
+  ctx->acts.resize(hidden_.size());
+  for (size_t l = 0; l < hidden_.size(); ++l) {
+    ctx->acts[l].Resize(rows, hidden_[l].out_dim());
+    ctx->acts[l].Zero();
+  }
+}
+
+void MadeModel::AdvanceTrunk(const IntMatrix& codes, size_t col,
+                             EvalContext* ctx, KernelKind kernel) const {
+  const size_t deg = col - 1;
+  encoder_.EncodeColumn(codes, deg, &ctx->x);
+  const Matrix* cur = &ctx->x;
+  for (size_t l = 0; l < hidden_.size(); ++l) {
+    const std::vector<size_t>& units = degree_units_[l][deg];
+    const InputHint hint = l == 0 ? input_hint_ : InputHint::kDense;
+    hidden_[l].ForwardColumns(*cur, units, &ctx->slice, &ctx->panel, kernel,
+                              hint);
+    const size_t rows = ctx->slice.rows();
+    if (HasSkip(l)) {
+      // Equal-width layers share degree vectors, so the identity path of
+      // unit j reads the previous layer's unit j — also of degree col-1.
+      ctx->skip.Resize(rows, units.size());
+      for (size_t r = 0; r < rows; ++r) {
+        const float* src = cur->Row(r);
+        float* dst = ctx->skip.Row(r);
+        for (size_t j = 0; j < units.size(); ++j) dst[j] = src[units[j]];
+      }
+      Axpy(ctx->skip, 1.0f, &ctx->slice);
+    }
+    ReluForward(ctx->slice, &ctx->slice);
+    Matrix& act = ctx->acts[l];
+    for (size_t r = 0; r < rows; ++r) {
+      const float* src = ctx->slice.Row(r);
+      float* dst = act.Row(r);
+      for (size_t j = 0; j < units.size(); ++j) dst[units[j]] = src[j];
+    }
+    cur = &act;
+  }
+}
+
 void MadeModel::HeadForward(size_t col, EvalContext* ctx, Matrix* block,
                             KernelKind kernel) const {
   const Head& head = heads_[col];
@@ -164,25 +206,47 @@ void MadeModel::ConditionalDistWith(EvalContext* ctx, const IntMatrix& samples,
   SoftmaxRows(ctx->block, probs);
 }
 
-namespace {
 // Sampling cursor with private scratch: distinct sessions evaluate the
-// (read-only) weights concurrently.
-class MadeSession : public SamplingSession {
+// (read-only) weights concurrently. Between Dist calls the scratch keeps
+// the trunk of the last column, which an in-order walk extends one degree
+// at a time (see StartSession in made.h).
+class MadeModel::Session : public SamplingSession {
  public:
-  explicit MadeSession(const MadeModel* model) : model_(model) {}
+  explicit Session(const MadeModel* model) : model_(model) {}
+
   void Dist(const IntMatrix& samples, size_t col, Matrix* probs) override {
-    model_->ConditionalDistWith(&ctx_, samples, col, probs);
+    NARU_CHECK(col < model_->num_columns());
+    const KernelKind kernel = model_->inference_kernel_;
+    if (col == 0) {
+      model_->ZeroTrunk(samples.rows(), &ctx_);
+    } else if (col == next_col_ && samples.rows() == rows_ &&
+               kernel == kernel_) {
+      model_->AdvanceTrunk(samples, col, &ctx_, kernel);
+    } else {
+      model_->ForwardTrunk(samples, col, &ctx_, kernel);
+    }
+    next_col_ = col + 1;
+    rows_ = samples.rows();
+    kernel_ = kernel;
+    model_->HeadForward(col, &ctx_, &ctx_.block, kernel);
+    SoftmaxRows(ctx_.block, probs);
   }
 
+  void ResetWalk() override { next_col_ = kNoWalk; }
+
  private:
+  static constexpr size_t kNoWalk = static_cast<size_t>(-1);
+
   const MadeModel* model_;
-  MadeModel::EvalContext ctx_;
+  EvalContext ctx_;
+  size_t next_col_ = kNoWalk;  // the column an in-order walk asks for next
+  size_t rows_ = 0;
+  KernelKind kernel_ = KernelKind::kScalar;
 };
-}  // namespace
 
 std::unique_ptr<SamplingSession> MadeModel::StartSession(size_t batch) {
   (void)batch;  // contexts size themselves on first Dist
-  return std::make_unique<MadeSession>(this);
+  return std::make_unique<Session>(this);
 }
 
 void MadeModel::LogProbRows(const IntMatrix& tuples,

@@ -55,8 +55,12 @@ class MadeModel : public ConditionalModel, public TrainableModel {
     std::vector<Matrix> acts;
     Matrix head_tmp;  // reuse heads' h-dim output
     Matrix block;     // current head logits
+    // Incremental-walk scratch (sessions only): one degree's gathered
+    // weight panel, its output units and their residual inputs.
+    ColumnPanel panel;
+    Matrix slice;
+    Matrix skip;
   };
-
   // --- ConditionalModel ---
   size_t num_columns() const override { return domains_.size(); }
   size_t DomainSize(size_t col) const override { return domains_[col]; }
@@ -65,20 +69,15 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   /// Re-entrant ConditionalDist evaluating through caller-owned scratch.
   void ConditionalDistWith(EvalContext* ctx, const IntMatrix& samples,
                            size_t col, Matrix* probs) const;
-  /// Stacked-rows entry point for the sampling-plan executor (src/plan):
-  /// `samples` rows may stack the walk states of several queries, and the
-  /// one trunk forward + head evaluation here fuses what would otherwise
-  /// be one GEMM sequence per query. Per-row results are bit-identical to
-  /// evaluating each query's rows separately because every kernel on the
-  /// path (encode, gemm, bias, relu, softmax) is row-independent — the
-  /// property SupportsStackedEvaluation() advertises.
-  void StackedConditionalDist(EvalContext* ctx, const IntMatrix& samples,
-                              size_t col, Matrix* probs) const {
-    ConditionalDistWith(ctx, samples, col, probs);
-  }
   void LogProbRows(const IntMatrix& tuples,
                    std::vector<double>* out_nats) override;
-  /// Sessions own an EvalContext each, so they can run concurrently.
+  /// Sessions own an EvalContext each, so they can run concurrently. A
+  /// session keeps its trunk between Dist calls: when called with col =
+  /// previous col + 1 on the same rows (and no ResetWalk in between), it
+  /// encodes only column col-1 and recomputes only the hidden units of
+  /// degree col-1 — the only units whose inputs changed. Column 0 needs no
+  /// trunk at all (its head reads no hidden unit); any other call runs the
+  /// full trunk. Results are bit-identical to ConditionalDistWith.
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
   bool SupportsConcurrentSampling() const override { return true; }
   /// Switches the inference forward paths (ConditionalDist*, LogProbRows,
@@ -88,8 +87,10 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   /// encoder, so it is not quantized).
   void SetInferenceKernel(KernelKind kernel) override;
   KernelKind inference_kernel() const override { return inference_kernel_; }
-  /// Sessions route through ConditionalDistWith, a pure function of
-  /// (samples, col) — see StackedConditionalDist above.
+  /// Every kernel on the Dist path (encode, gemm, bias, relu, softmax) is
+  /// row-independent, so stacked rows of unrelated walks evaluate
+  /// bit-identically to evaluating each walk separately, and a session
+  /// resumes at any column after ResetWalk.
   bool SupportsStackedEvaluation() const override { return true; }
   /// The widest hidden layer dominates the stacked GEMM chain (linear
   /// MADE: no hidden GEMMs, leave the hint unknown).
@@ -117,12 +118,28 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   const InputEncoder& encoder() const { return encoder_; }
 
  private:
+  class Session;
+
   /// Encodes columns < upto and runs the hidden stack into `ctx`; the
   /// result lives in final_hidden(*ctx). With upto == num_columns() this is
   /// a full forward. Const: only caller scratch is written. `kernel` picks
   /// the GEMM family (training passes kScalar, inference the configured
   /// inference_kernel_).
   void ForwardTrunk(const IntMatrix& codes, size_t upto, EvalContext* ctx,
+                    KernelKind kernel) const;
+
+  /// Sizes the trunk in `ctx` for `rows` rows with every input and hidden
+  /// unit zero: the state before any column is encoded, which is all
+  /// column 0's head needs.
+  void ZeroTrunk(size_t rows, EvalContext* ctx) const;
+
+  /// Extends a trunk that holds the prefix of columns < col-1 for these
+  /// same rows to columns < col: encodes column col-1 and recomputes, per
+  /// hidden layer, only the units of degree col-1. Units of lower degree
+  /// are already final; units of higher degree keep finite, non-negative
+  /// stale values that every later reader multiplies by an exact-zero
+  /// masked weight, exactly as in a full ForwardTrunk.
+  void AdvanceTrunk(const IntMatrix& codes, size_t col, EvalContext* ctx,
                     KernelKind kernel) const;
 
   const Matrix& final_hidden(const EvalContext& ctx) const {
@@ -151,8 +168,8 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   Config config_;
   Rng rng_;
   InputEncoder encoder_;
-  std::vector<int> input_degrees_;             // per input dim
-  std::vector<std::vector<int>> layer_degrees_;  // per hidden layer
+  // degree_units_[l][d]: indices of hidden layer l's units of degree d.
+  std::vector<std::vector<std::vector<size_t>>> degree_units_;
   std::vector<MaskedLinear> hidden_;
 
   struct Head {

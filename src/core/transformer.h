@@ -75,21 +75,14 @@ class TransformerModel : public ConditionalModel, public TrainableModel {
   /// Re-entrant ConditionalDist evaluating through caller-owned scratch.
   void ConditionalDistWith(EvalContext* ctx, const IntMatrix& samples,
                            size_t col, Matrix* probs) const;
-  /// Stacked-rows entry point for the sampling-plan executor (src/plan):
-  /// rows of `samples` may stack the walk states of several queries into
-  /// one trunk forward. Per-row results are bit-identical to evaluating
-  /// each query's rows separately because causal attention only mixes
-  /// token positions *within* a row — across rows every kernel on the
-  /// path (embed, layernorm, gemm, attention, softmax) is row-independent.
-  void StackedConditionalDist(EvalContext* ctx, const IntMatrix& samples,
-                              size_t col, Matrix* probs) const {
-    ConditionalDistWith(ctx, samples, col, probs);
-  }
   /// Sessions own an EvalContext each, so they can run concurrently.
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
   bool SupportsConcurrentSampling() const override { return true; }
-  /// Sessions route through ConditionalDistWith, a pure function of
-  /// (samples, col) — see StackedConditionalDist above.
+  /// Sessions keep no state between Dist calls: each recomputes from the
+  /// prefix through ConditionalDistWith. Causal attention only mixes token
+  /// positions *within* a row — across rows every kernel on the path
+  /// (embed, layernorm, gemm, attention, softmax) is row-independent — so
+  /// stacked rows of unrelated walks evaluate bit-identically.
   bool SupportsStackedEvaluation() const override { return true; }
   /// The widest GEMM in the stacked chain is the FFN inner layer (or the
   /// d_model-wide projections when ffn_hidden is smaller).

@@ -26,6 +26,40 @@ void MaskedLinear::Forward(const Matrix& x, Matrix* y, KernelKind kernel,
   AddBiasRows(b_.value, y);
 }
 
+void MaskedLinear::ForwardColumns(const Matrix& x,
+                                  const std::vector<size_t>& cols, Matrix* y,
+                                  ColumnPanel* panel, KernelKind kernel,
+                                  InputHint hint) const {
+  const size_t k = in_dim();
+  const size_t s = cols.size();
+  panel->b.Resize(1, s);
+  for (size_t j = 0; j < s; ++j) panel->b.At(0, j) = b_.value.At(0, cols[j]);
+  if (kernel == KernelKind::kSimdInt8 && q8_.valid()) {
+    QuantizedWeights& q = panel->q8;
+    q.rows = k;
+    q.cols = s;
+    q.stride = PaddedStride(s);
+    q.data.assign(k * q.stride, 0);
+    q.scales.assign(q.stride, 0.0f);
+    for (size_t j = 0; j < s; ++j) q.scales[j] = q8_.scales[cols[j]];
+    for (size_t i = 0; i < k; ++i) {
+      const int8_t* src = q8_.data.data() + i * q8_.stride;
+      int8_t* dst = q.data.data() + i * q.stride;
+      for (size_t j = 0; j < s; ++j) dst[j] = src[cols[j]];
+    }
+    GemmNNInt8(x, q, y, /*accumulate=*/false, hint);
+  } else {
+    panel->w.Resize(k, s);
+    for (size_t i = 0; i < k; ++i) {
+      const float* src = w_.value.Row(i);
+      float* dst = panel->w.Row(i);
+      for (size_t j = 0; j < s; ++j) dst[j] = src[cols[j]];
+    }
+    GemmNN(x, panel->w, y, /*accumulate=*/false, kernel, hint);
+  }
+  AddBiasRows(panel->b, y);
+}
+
 void MaskedLinear::Backward(const Matrix& x, const Matrix& dy, Matrix* dx,
                             bool accumulate_dx) {
   // dx must use the masked weights (they are, by invariant).

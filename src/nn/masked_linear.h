@@ -8,12 +8,22 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "nn/parameter.h"
 #include "tensor/quant.h"
 #include "util/random.h"
 
 namespace naru {
+
+/// Caller-owned scratch for MaskedLinear::ForwardColumns: the weight
+/// columns (fp32 or int8 with their scales) and biases of one output-unit
+/// subset, gathered from the layer on every call.
+struct ColumnPanel {
+  Matrix w;
+  Matrix b;
+  QuantizedWeights q8;
+};
 
 class MaskedLinear {
  public:
@@ -30,6 +40,17 @@ class MaskedLinear {
   void Forward(const Matrix& x, Matrix* y,
                KernelKind kernel = KernelKind::kScalar,
                InputHint hint = InputHint::kDense) const;
+
+  /// Forward restricted to the output units `cols`: y (batch x
+  /// cols.size()) holds columns cols[0], cols[1], ... of Forward(x). The
+  /// panel is gathered from the current weights (and int8 panel) on each
+  /// call, so it cannot go stale after training or requantization. Every
+  /// GEMM kernel reduces each output element over ascending k on its own,
+  /// so the results are bit-identical to the matching columns of Forward.
+  void ForwardColumns(const Matrix& x, const std::vector<size_t>& cols,
+                      Matrix* y, ColumnPanel* panel,
+                      KernelKind kernel = KernelKind::kScalar,
+                      InputHint hint = InputHint::kDense) const;
 
   /// Accumulates masked weight grads; dx computed unless nullptr.
   /// With `accumulate_dx`, dx += dy W^T instead of overwriting (used when

@@ -142,6 +142,10 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
       std::swap(alive, spare_alive);
       entries = std::move(next);
       if (entries.empty()) return;  // every branch retired
+      // The rows no longer continue the session's walk (even when the row
+      // count is unchanged, e.g. one branch retired while another forked):
+      // the next Dist recomputes from the prefix, then resumes in order.
+      session->ResetWalk();
     }
 
     if (TreeExpired(tree, abandoned)) return;

@@ -318,7 +318,7 @@ TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
     Matrix pa, pb, ps;
     model->ConditionalDistWith(&ctx_a, a, col, &pa);
     model->ConditionalDistWith(&ctx_b, b, col, &pb);
-    model->StackedConditionalDist(&ctx_s, stacked, col, &ps);
+    model->ConditionalDistWith(&ctx_s, stacked, col, &ps);
     ASSERT_EQ(ps.rows(), 8u);
     for (size_t r = 0; r < 3; ++r) {
       EXPECT_EQ(std::memcmp(ps.Row(r), pa.Row(r),
