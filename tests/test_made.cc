@@ -1,16 +1,22 @@
 // Tests for the MADE autoregressive model: masking invariants, likelihood
-// normalization, gradient correctness, training convergence, save/load.
+// normalization, gradient correctness, training convergence, save/load,
+// and the incremental sampling session (bit-identity with the stateless
+// ConditionalDistWith at every walk step).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "core/entropy.h"
+#include "core/factorized.h"
 #include "core/made.h"
+#include "core/ordered_model.h"
 #include "core/trainer.h"
 #include "data/datasets.h"
 #include "data/table_stats.h"
 #include "nn/adam.h"
+#include "tensor/kernel.h"
 
 namespace naru {
 namespace {
@@ -392,6 +398,236 @@ TEST(Made, SingleColumnDegenerate) {
   // And the conditional ignores the (non-existent) prefix: both rows equal.
   for (size_t v = 0; v < 6; ++v) {
     EXPECT_FLOAT_EQ(probs.At(0, v), probs.At(1, v));
+  }
+}
+
+// --- Incremental sampling session ---------------------------------------
+
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) {
+    SetSimdLevelOverrideForTest(level);
+  }
+  ~ScopedSimdLevel() { ClearSimdLevelOverrideForTest(); }
+};
+
+bool BitEqual(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (size_t r = 0; r < a.rows(); ++r) {
+    if (std::memcmp(a.Row(r), b.Row(r), a.cols() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+const std::vector<size_t> kSessionDomains = {5, 3, 40, 4, 70, 6};
+
+/// Dead sample paths carry this query's FallbackCode (each region's first
+/// code), as in the sampler.
+Query SessionQuery() {
+  return Query(std::vector<ValueSet>{
+      ValueSet::Interval(5, 1, 3), ValueSet::All(3),
+      ValueSet::Interval(40, 7, 30), ValueSet::Interval(4, 2, 3),
+      ValueSet::Interval(70, 20, 50), ValueSet::All(6)});
+}
+
+/// Walks every column in order through one session and, at each step,
+/// checks the session's probabilities bitwise against the stateless
+/// `stateless(samples, col, &probs)` on the same samples. Between steps it
+/// writes column col the way a sampler does: a draw from the conditional
+/// for live rows, `fallback(col)` for dead rows (every third row once
+/// col >= 1). Columns not yet walked hold junk the model must ignore.
+template <typename Stateless, typename Fallback>
+void ExpectSessionMatchesStateless(ConditionalModel* model, size_t rows,
+                                   uint64_t seed, Stateless&& stateless,
+                                   Fallback&& fallback,
+                                   const std::string& label) {
+  const size_t n = model->num_columns();
+  Rng rng(seed);
+  IntMatrix samples(rows, n);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < n; ++c) {
+      samples.At(r, c) =
+          static_cast<int32_t>(rng.UniformInt(model->DomainSize(c)));
+    }
+  }
+  auto session = model->StartSession(rows);
+  Matrix got, want;
+  for (size_t col = 0; col < n; ++col) {
+    session->Dist(samples, col, &got);
+    stateless(samples, col, &want);
+    ASSERT_TRUE(BitEqual(got, want)) << label << " col " << col;
+    for (size_t r = 0; r < rows; ++r) {
+      const bool dead = col >= 1 && r % 3 == 0;
+      samples.At(r, col) =
+          dead ? fallback(col)
+               : static_cast<int32_t>(
+                     rng.Categorical(got.Row(r), model->DomainSize(col)));
+    }
+  }
+}
+
+void ExpectMadeSessionMatches(MadeModel* model, const std::string& label) {
+  const Query query = SessionQuery();
+  MadeModel::EvalContext ctx;
+  for (const size_t rows : {size_t{1}, size_t{5}, size_t{128}}) {
+    ExpectSessionMatchesStateless(
+        model, rows, 100 + rows,
+        [&](const IntMatrix& s, size_t col, Matrix* p) {
+          model->ConditionalDistWith(&ctx, s, col, p);
+        },
+        [&](size_t col) { return model->FallbackCode(query, col); },
+        label + " rows " + std::to_string(rows));
+  }
+}
+
+TEST(MadeSession, BitIdenticalToStatelessAcrossKernelsAndShapes) {
+  struct Shape {
+    const char* name;
+    size_t onehot_threshold;  // 100: all one-hot; 8: embedding-dominated
+    bool residual;
+  };
+  const Shape shapes[] = {{"onehot", 100, false},
+                          {"onehot-res", 100, true},
+                          {"embed", 8, false},
+                          {"embed-res", 8, true}};
+  for (const Shape& shape : shapes) {
+    MadeModel::Config cfg;
+    cfg.hidden_sizes = {32, 32, 32};
+    cfg.encoder.onehot_threshold = shape.onehot_threshold;
+    cfg.encoder.embed_dim = 16;
+    cfg.residual = shape.residual;
+    cfg.seed = 3;
+    MadeModel model(kSessionDomains, cfg);
+    EXPECT_EQ(model.encoder().OneHotWidthFraction() > 0.5,
+              shape.onehot_threshold == 100);
+    for (const bool portable : {false, true}) {
+      std::unique_ptr<ScopedSimdLevel> force;
+      if (portable) force = std::make_unique<ScopedSimdLevel>(SimdLevel::kNone);
+      for (const KernelKind kernel :
+           {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+        if (portable && kernel == KernelKind::kScalar) continue;
+        model.SetInferenceKernel(kernel);
+        ExpectMadeSessionMatches(
+            &model, std::string(shape.name) + " " + KernelKindName(kernel) +
+                        (portable ? " portable" : ""));
+      }
+    }
+  }
+}
+
+TEST(MadeSession, LinearMadeBitIdenticalToStateless) {
+  MadeModel::Config cfg;
+  cfg.hidden_sizes = {};
+  cfg.encoder.onehot_threshold = 8;
+  cfg.encoder.embed_dim = 16;
+  MadeModel model(kSessionDomains, cfg);
+  for (const KernelKind kernel :
+       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+    model.SetInferenceKernel(kernel);
+    ExpectMadeSessionMatches(&model,
+                             std::string("linear ") + KernelKindName(kernel));
+  }
+}
+
+TEST(MadeSession, TrainedWeightsBitIdenticalToStateless) {
+  // Trained weights (and int8 panels requantized after training) must not
+  // leave the session reading stale panels.
+  const Table table = MakeRandomTable(400, kSessionDomains, 9, /*skew=*/1.0);
+  MadeModel::Config cfg;
+  cfg.hidden_sizes = {32, 32};
+  cfg.encoder.onehot_threshold = 8;
+  cfg.encoder.embed_dim = 16;
+  cfg.residual = true;
+  MadeModel model(kSessionDomains, cfg);
+  model.SetInferenceKernel(KernelKind::kSimdInt8);
+  TrainerConfig tcfg;
+  tcfg.epochs = 1;
+  tcfg.batch_size = 64;
+  Trainer(&model, tcfg).Train(table);
+  for (const KernelKind kernel :
+       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+    model.SetInferenceKernel(kernel);
+    ExpectMadeSessionMatches(&model,
+                             std::string("trained ") + KernelKindName(kernel));
+  }
+}
+
+TEST(MadeSession, ResumesAfterJumpAndReset) {
+  MadeModel::Config cfg;
+  cfg.hidden_sizes = {32, 32};
+  cfg.encoder.onehot_threshold = 8;
+  MadeModel model(kSessionDomains, cfg);
+  const size_t n = model.num_columns();
+  Rng rng(4);
+  IntMatrix a(7, n), b(7, n);
+  for (size_t r = 0; r < 7; ++r) {
+    for (size_t c = 0; c < n; ++c) {
+      a.At(r, c) = static_cast<int32_t>(rng.UniformInt(kSessionDomains[c]));
+      b.At(r, c) = static_cast<int32_t>(rng.UniformInt(kSessionDomains[c]));
+    }
+  }
+  MadeModel::EvalContext ctx;
+  Matrix got, want;
+  auto session = model.StartSession(7);
+  // A first call mid-walk, then in-order steps.
+  for (size_t col = 2; col < n; ++col) {
+    session->Dist(a, col, &got);
+    model.ConditionalDistWith(&ctx, a, col, &want);
+    EXPECT_TRUE(BitEqual(got, want)) << "walk a col " << col;
+  }
+  // Same row count, different rows: the caller announces the relayout.
+  session->ResetWalk();
+  for (size_t col = 3; col < n; ++col) {
+    session->Dist(b, col, &got);
+    model.ConditionalDistWith(&ctx, b, col, &want);
+    EXPECT_TRUE(BitEqual(got, want)) << "walk b col " << col;
+  }
+  // A jump backwards restarts from the prefix without a reset.
+  session->Dist(a, 1, &got);
+  model.ConditionalDistWith(&ctx, a, 1, &want);
+  EXPECT_TRUE(BitEqual(got, want));
+  session->Dist(a, 2, &got);
+  model.ConditionalDistWith(&ctx, a, 2, &want);
+  EXPECT_TRUE(BitEqual(got, want));
+}
+
+TEST(MadeSession, WrappersBitIdenticalToStateless) {
+  MadeModel::Config cfg;
+  cfg.hidden_sizes = {32, 32};
+  cfg.encoder.onehot_threshold = 8;
+  cfg.encoder.embed_dim = 16;
+  cfg.residual = true;
+
+  const std::vector<size_t> order = {4, 0, 2, 5, 1, 3};
+  OrderedModel ordered(
+      std::make_unique<MadeModel>(
+          OrderedModel::PermuteDomains(kSessionDomains, order), cfg),
+      order);
+  FactorizedLayout layout = FactorizedLayout::Build(kSessionDomains, 16);
+  ASSERT_GT(layout.num_positions(), kSessionDomains.size());
+  auto inner = std::make_unique<MadeModel>(layout.position_domains(), cfg);
+  FactorizedModel factorized(std::move(inner), std::move(layout));
+
+  const Query query = SessionQuery();
+  for (ConditionalModel* model :
+       std::vector<ConditionalModel*>{&ordered, &factorized}) {
+    const std::string label = model == &ordered ? "ordered" : "factorized";
+    for (const KernelKind kernel :
+         {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+      model->SetInferenceKernel(kernel);
+      for (const size_t rows : {size_t{1}, size_t{5}, size_t{128}}) {
+        ExpectSessionMatchesStateless(
+            model, rows, 7 + rows,
+            [&](const IntMatrix& s, size_t col, Matrix* p) {
+              model->ConditionalDist(s, col, p);
+            },
+            [&](size_t col) { return model->FallbackCode(query, col); },
+            label + " " + KernelKindName(kernel) + " rows " +
+                std::to_string(rows));
+      }
+    }
   }
 }
 

@@ -495,6 +495,61 @@ TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
   }
 }
 
+// A boundary where one branch retires while another forks keeps the
+// frontier's row count but changes which walk each row block continues.
+// The incremental MADE session must notice (the executor's ResetWalk) and
+// recompute the trunk instead of extending the retired branch's trunk.
+// Queries (Interval [1,2] on the listed columns):
+//   qa {0, 1}        — constrained column 0: its own branch, retires at 2
+//   qb {1, 2}, qc {1, 3} — wildcard column 0, shared [0, 2), fork at 2
+TEST(PlanExecutor, RetireAndForkAtSameRowCountMatchesSequential) {
+  Table t = PlanTable(43);
+  auto model = PlanModel(t, 43);
+  const std::vector<Query> queries = {QueryOn(t, {0, 1}), QueryOn(t, {1, 2}),
+                                      QueryOn(t, {1, 3})};
+  std::vector<const Query*> ptrs;
+  for (const auto& q : queries) ptrs.push_back(&q);
+  const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs);
+  ASSERT_EQ(plan.trees.size(), 1u);
+  const PlanTree& tree = plan.trees[0];
+  // The shape under test: at column 2 a terminal-only node and a
+  // two-child node end together, so two row blocks become two.
+  size_t retiring = 0, forking = 0;
+  for (const PlanTreeNode& node : tree.nodes) {
+    if (node.end != 2) continue;
+    if (node.children.empty() && !node.terminals.empty()) ++retiring;
+    if (node.children.size() == 2) ++forking;
+  }
+  ASSERT_EQ(retiring, 1u);
+  ASSERT_EQ(forking, 1u);
+
+  for (const KernelKind kernel :
+       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+    model->SetInferenceKernel(kernel);
+    ProgressiveSamplerConfig scfg;
+    scfg.num_samples = 200;
+    scfg.shard_size = 64;
+    scfg.seed = 47;
+    ProgressiveSampler sampler(model.get(), scfg);
+    std::vector<double> want, want_se;
+    for (const auto& q : queries) {
+      double se = 0;
+      want.push_back(sampler.EstimateWithStdError(q, &se));
+      want_se.push_back(se);
+    }
+    PlanExecutionOptions opts;
+    opts.num_samples = 200;
+    opts.shard_size = 64;
+    opts.seed = 47;
+    opts.parallelism = 1;
+    std::vector<double> got, got_se;
+    ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
+    EXPECT_EQ(got, want) << "kernel " << KernelKindName(kernel);
+    EXPECT_EQ(got_se, want_se) << "kernel " << KernelKindName(kernel);
+  }
+  model->SetInferenceKernel(KernelKind::kScalar);
+}
+
 TEST(PlanExecutor, PrefixShareSavesModelColumnCalls) {
   // Two queries sharing a 2-column wildcard prefix, via a call-counting
   // model: the planned walk must evaluate the prefix columns once per
