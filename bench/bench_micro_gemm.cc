@@ -5,12 +5,18 @@
 //
 // Emits BENCH_micro_gemm.json (shared schema, see bench_common.h) with one
 // row per (shape, kernel): GFLOP/s, speedup over scalar at the same shape,
-// and matrix-level max relative error vs the scalar result.
+// and matrix-level max relative error vs the scalar result. A second table
+// times one whole sampling walk per kernel ("made_walk" rows): an in-order
+// 11-column walk on the perfbench model shape through a MADE session
+// (incremental trunk) vs the same walk through stateless
+// ConditionalDistWith (full trunk per column).
 //
 // Exit status: nonzero when a kernel's result diverges from scalar beyond
-// its epsilon (always), or — under --smoke with the AVX2 probe active —
-// when the fp32 SIMD kernel fails a lenient 1.2x speedup floor at the
-// 64x128x128 MADE hidden-layer shape (the CI tripwire; the acceptance
+// its epsilon, or a session walk step differs bitwise from its stateless
+// twin (always); or — under --smoke with perf asserts enabled — when a
+// session walk is slower than the stateless walk, or, with the AVX2 probe
+// active, when the fp32 SIMD kernel fails a lenient 1.2x speedup floor at
+// the 64x128x128 MADE hidden-layer shape (the CI tripwire; the acceptance
 // target on dedicated hardware is 2x, reported in the headline line).
 //
 // Knobs: --smoke (shorter timing windows), NARU_KERNEL is ignored here —
@@ -18,10 +24,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "core/made.h"
+#include "data/datasets.h"
 #include "tensor/gemm.h"
 #include "tensor/kernel.h"
 #include "tensor/matrix.h"
@@ -89,6 +98,92 @@ double TimeGflops(const Case& cs, double min_seconds, Fn&& fn) {
                        static_cast<double>(cs.k) * static_cast<double>(cs.n) *
                        static_cast<double>(iters);
   return flops / secs / 1e9;
+}
+
+// Fastest of repeated calls (at least 3, until the window closes), in ms.
+template <typename Fn>
+double BestMs(double min_seconds, Fn&& fn) {
+  fn();  // warm-up
+  double best = 0;
+  Stopwatch window;
+  for (size_t iter = 0; iter < 3 || window.ElapsedSeconds() < min_seconds;
+       ++iter) {
+    Stopwatch sw;
+    fn();
+    const double ms = sw.ElapsedSeconds() * 1e3;
+    if (iter == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+// One sampling walk per kernel on the perfbench model shape: the 11
+// DMV-like columns with default MadeModel::Config (4x128 hidden, embedding
+// reuse), untrained weights, `rows` sample paths. The session walk must be
+// bitwise equal to the stateless one at every column; `session_slower`
+// reports whether it ever took longer.
+bool RunWalkRows(double min_seconds, size_t rows, BenchJsonWriter* json,
+                 bool* session_slower) {
+  const Table table = MakeDmvLike(20000, /*seed=*/1);
+  std::vector<size_t> domains;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    domains.push_back(table.column(c).DomainSize());
+  }
+  MadeModel model(domains, MadeModel::Config{});
+  const size_t n = model.num_columns();
+  IntMatrix samples(rows, n);
+  Rng rng(11);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < n; ++c) {
+      samples.At(r, c) = static_cast<int32_t>(rng.UniformInt(domains[c]));
+    }
+  }
+
+  std::printf("\n%-20s %-10s %12s %12s %9s\n", "walk", "kernel",
+              "session_ms", "stateless_ms", "speedup");
+  bool ok = true;
+  *session_slower = false;
+  for (const KernelKind kernel :
+       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+    model.SetInferenceKernel(kernel);
+    std::vector<Matrix> session_probs(n), stateless_probs(n);
+    const double session_ms = BestMs(min_seconds, [&] {
+      auto session = model.StartSession(rows);
+      for (size_t col = 0; col < n; ++col) {
+        session->Dist(samples, col, &session_probs[col]);
+      }
+    });
+    MadeModel::EvalContext ctx;
+    const double stateless_ms = BestMs(min_seconds, [&] {
+      for (size_t col = 0; col < n; ++col) {
+        model.ConditionalDistWith(&ctx, samples, col, &stateless_probs[col]);
+      }
+    });
+    for (size_t col = 0; col < n; ++col) {
+      const Matrix& a = session_probs[col];
+      const Matrix& b = stateless_probs[col];
+      if (a.rows() != b.rows() || a.cols() != b.cols() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0) {
+        std::printf("FAIL: made_walk/%s column %zu: session differs from "
+                    "stateless ConditionalDistWith\n",
+                    KernelKindName(kernel), col);
+        ok = false;
+      }
+    }
+    if (session_ms > stateless_ms) *session_slower = true;
+    const double speedup = session_ms > 0 ? stateless_ms / session_ms : 0;
+    std::printf("%-20s %-10s %12.2f %12.2f %8.2fx\n", "made_walk",
+                KernelKindName(kernel), session_ms, stateless_ms, speedup);
+    json->AddRow({{"shape", "made_walk"},
+                  {"op", "walk"},
+                  {"m", rows},
+                  {"k", n},
+                  {"n", 0},
+                  {"kernel", KernelKindName(kernel)},
+                  {"session_ms", session_ms},
+                  {"stateless_ms", stateless_ms},
+                  {"speedup_vs_stateless", speedup}});
+  }
+  return ok;
 }
 
 int Run() {
@@ -191,6 +286,11 @@ int Run() {
     }
   }
 
+  bool session_slower = false;
+  if (!RunWalkRows(min_seconds, smoke ? 128 : 1000, &json, &session_slower)) {
+    ok = false;
+  }
+
   std::printf("\nheadline: simd speedup at 64x128x128 = %.2fx "
               "(acceptance target 2x on AVX2 hardware)\n",
               made_hidden_simd_speedup);
@@ -206,6 +306,12 @@ int Run() {
     // the scalar/simd ratio, not just absolute time.
     std::printf("FAIL: smoke speedup floor 1.2x not met (%.2fx)\n",
                 made_hidden_simd_speedup);
+    ok = false;
+  }
+  if (smoke && PerfAssertsEnabled() && session_slower) {
+    // The incremental trunk does a strict subset of the stateless walk's
+    // hidden-layer work, so a slower session walk is a regression.
+    std::printf("FAIL: a session walk was slower than the stateless walk\n");
     ok = false;
   }
   return ok ? 0 : 1;
