@@ -457,7 +457,7 @@ int main(int raw_argc, char** raw_argv) {
       // resolve and their responses flush before the socket closes.
       std::string host;
       uint16_t port = 0;
-      Status st = ParseHostPort(listen_spec, &host, &port);
+      Status st = ParseHostPort(listen_spec, &host, &port, /*listen=*/true);
       if (!st.ok()) {
         std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
         return 2;

@@ -22,8 +22,8 @@ Status Errno(const char* what) {
 
 }  // namespace
 
-Status ParseHostPort(std::string_view spec, std::string* host,
-                     uint16_t* port) {
+Status ParseHostPort(std::string_view spec, std::string* host, uint16_t* port,
+                     bool listen) {
   if (spec.empty()) {
     return Status::InvalidArgument("empty host:port");
   }
@@ -53,7 +53,7 @@ Status ParseHostPort(std::string_view spec, std::string* host,
                     static_cast<int>(spec.size()), spec.data()));
     }
   }
-  if (value == 0) {
+  if (value == 0 && !listen) {
     return Status::InvalidArgument("port must be nonzero");
   }
   *host = std::string(host_part);

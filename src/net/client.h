@@ -26,9 +26,11 @@
 namespace naru {
 
 /// Splits "host:port", ":port", or a bare "port" (host defaults to
-/// 127.0.0.1). InvalidArgument on an unparsable port or empty input.
-Status ParseHostPort(std::string_view spec, std::string* host,
-                     uint16_t* port);
+/// 127.0.0.1). InvalidArgument on an unparsable port or empty input, and
+/// on port 0 unless `listen` is set: a listen spec may name port 0, which
+/// binds an ephemeral port (NetServer::port() reports the one chosen).
+Status ParseHostPort(std::string_view spec, std::string* host, uint16_t* port,
+                     bool listen = false);
 
 class NetClient {
  public:

@@ -395,6 +395,31 @@ TEST(NetClientHelpers, ParseHostPortAcceptsAllThreeForms) {
   EXPECT_FALSE(ParseHostPort("host:70000", &host, &port).ok());
 }
 
+TEST(NetClientHelpers, ListenSpecAcceptsEphemeralPort) {
+  std::string host;
+  uint16_t port = 1;
+  ASSERT_TRUE(
+      ParseHostPort("127.0.0.1:0", &host, &port, /*listen=*/true).ok());
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 0);
+  ASSERT_TRUE(ParseHostPort(":0", &host, &port, /*listen=*/true).ok());
+  EXPECT_EQ(port, 0);
+  // Connect specs still need a real port.
+  EXPECT_FALSE(ParseHostPort("127.0.0.1:0", &host, &port).ok());
+  EXPECT_FALSE(ParseHostPort("host:abc", &host, &port, /*listen=*/true).ok());
+
+  // What `naru_cli serve --listen 127.0.0.1:0` does with the parse: the
+  // server binds an ephemeral port and reports it.
+  ModelRegistry registry;
+  NetServerConfig scfg;
+  scfg.host = host;
+  scfg.port = port;
+  NetServer server(&registry, scfg);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_NE(server.port(), 0);
+  server.Shutdown();
+}
+
 // ---- Trace-line format (shared by stdin serve / --connect / bench) ------
 
 TEST(TraceFormat, ParsesPrefixTokensInAnyOrder) {
