@@ -135,21 +135,15 @@ void MadeModel::AdvanceTrunk(const IntMatrix& codes, size_t col,
     const InputHint hint = l == 0 ? input_hint_ : InputHint::kDense;
     hidden_[l].ForwardColumns(*cur, units, &ctx->slice, &ctx->panel, kernel,
                               hint);
-    const size_t rows = ctx->slice.rows();
     if (HasSkip(l)) {
       // Equal-width layers share degree vectors, so the identity path of
       // unit j reads the previous layer's unit j — also of degree col-1.
-      ctx->skip.Resize(rows, units.size());
-      for (size_t r = 0; r < rows; ++r) {
-        const float* src = cur->Row(r);
-        float* dst = ctx->skip.Row(r);
-        for (size_t j = 0; j < units.size(); ++j) dst[j] = src[units[j]];
-      }
+      GatherColumns(*cur, units, &ctx->skip);
       Axpy(ctx->skip, 1.0f, &ctx->slice);
     }
     ReluForward(ctx->slice, &ctx->slice);
     Matrix& act = ctx->acts[l];
-    for (size_t r = 0; r < rows; ++r) {
+    for (size_t r = 0; r < ctx->slice.rows(); ++r) {
       const float* src = ctx->slice.Row(r);
       float* dst = act.Row(r);
       for (size_t j = 0; j < units.size(); ++j) dst[units[j]] = src[j];

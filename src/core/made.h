@@ -61,6 +61,7 @@ class MadeModel : public ConditionalModel, public TrainableModel {
     Matrix slice;
     Matrix skip;
   };
+
   // --- ConditionalModel ---
   size_t num_columns() const override { return domains_.size(); }
   size_t DomainSize(size_t col) const override { return domains_[col]; }

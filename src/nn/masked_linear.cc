@@ -2,6 +2,7 @@
 
 #include "nn/init.h"
 #include "tensor/gemm.h"
+#include "tensor/ops.h"
 
 namespace naru {
 
@@ -30,33 +31,14 @@ void MaskedLinear::ForwardColumns(const Matrix& x,
                                   const std::vector<size_t>& cols, Matrix* y,
                                   ColumnPanel* panel, KernelKind kernel,
                                   InputHint hint) const {
-  const size_t k = in_dim();
-  const size_t s = cols.size();
-  panel->b.Resize(1, s);
-  for (size_t j = 0; j < s; ++j) panel->b.At(0, j) = b_.value.At(0, cols[j]);
   if (kernel == KernelKind::kSimdInt8 && q8_.valid()) {
-    QuantizedWeights& q = panel->q8;
-    q.rows = k;
-    q.cols = s;
-    q.stride = PaddedStride(s);
-    q.data.assign(k * q.stride, 0);
-    q.scales.assign(q.stride, 0.0f);
-    for (size_t j = 0; j < s; ++j) q.scales[j] = q8_.scales[cols[j]];
-    for (size_t i = 0; i < k; ++i) {
-      const int8_t* src = q8_.data.data() + i * q8_.stride;
-      int8_t* dst = q.data.data() + i * q.stride;
-      for (size_t j = 0; j < s; ++j) dst[j] = src[cols[j]];
-    }
-    GemmNNInt8(x, q, y, /*accumulate=*/false, hint);
+    GatherQuantizedColumns(q8_, cols, &panel->q8);
+    GemmNNInt8(x, panel->q8, y, /*accumulate=*/false, hint);
   } else {
-    panel->w.Resize(k, s);
-    for (size_t i = 0; i < k; ++i) {
-      const float* src = w_.value.Row(i);
-      float* dst = panel->w.Row(i);
-      for (size_t j = 0; j < s; ++j) dst[j] = src[cols[j]];
-    }
+    GatherColumns(w_.value, cols, &panel->w);
     GemmNN(x, panel->w, y, /*accumulate=*/false, kernel, hint);
   }
+  GatherColumns(b_.value, cols, &panel->b);
   AddBiasRows(panel->b, y);
 }
 

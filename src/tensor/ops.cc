@@ -82,6 +82,16 @@ void Axpy(const Matrix& a, float scale, Matrix* c) {
   for (size_t i = 0; i < n; ++i) dst[i] += scale * src[i];
 }
 
+void GatherColumns(const Matrix& in, const std::vector<size_t>& cols,
+                   Matrix* out) {
+  out->Resize(in.rows(), cols.size());
+  for (size_t r = 0; r < in.rows(); ++r) {
+    const float* src = in.Row(r);
+    float* dst = out->Row(r);
+    for (size_t j = 0; j < cols.size(); ++j) dst[j] = src[cols[j]];
+  }
+}
+
 double L2Norm(const Matrix& m) { return std::sqrt(m.SumSquares()); }
 
 }  // namespace naru

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/matrix.h"
 
@@ -27,6 +28,10 @@ double LogSumExpSlice(const float* row, size_t begin, size_t end);
 
 /// c += a * scale (shapes must match).
 void Axpy(const Matrix& a, float scale, Matrix* c);
+
+/// out (rows x cols.size()) = columns cols[0], cols[1], ... of `in`.
+void GatherColumns(const Matrix& in, const std::vector<size_t>& cols,
+                   Matrix* out);
 
 /// Returns the global L2 norm sqrt(sum of squares) of the matrix.
 double L2Norm(const Matrix& m);

@@ -41,6 +41,22 @@ void QuantizeWeightsPerColumn(const Matrix& w, QuantizedWeights* q) {
   }
 }
 
+void GatherQuantizedColumns(const QuantizedWeights& q,
+                            const std::vector<size_t>& cols,
+                            QuantizedWeights* out) {
+  out->rows = q.rows;
+  out->cols = cols.size();
+  out->stride = PaddedStride(cols.size());
+  out->data.assign(out->rows * out->stride, 0);
+  out->scales.assign(out->stride, 0.0f);
+  for (size_t j = 0; j < cols.size(); ++j) out->scales[j] = q.scales[cols[j]];
+  for (size_t i = 0; i < q.rows; ++i) {
+    const int8_t* src = q.data.data() + i * q.stride;
+    int8_t* dst = out->data.data() + i * out->stride;
+    for (size_t j = 0; j < cols.size(); ++j) dst[j] = src[cols[j]];
+  }
+}
+
 void DequantizeWeights(const QuantizedWeights& q, Matrix* out) {
   out->Resize(q.rows, q.cols);
   for (size_t i = 0; i < q.rows; ++i) {

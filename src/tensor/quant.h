@@ -48,6 +48,12 @@ struct QuantizedWeights {
 /// All-zero columns get scale 0 and all-zero codes.
 void QuantizeWeightsPerColumn(const Matrix& w, QuantizedWeights* q);
 
+/// Packs columns cols[0], cols[1], ... of `q` (codes and scales) into
+/// `out`, laid out like any quantized panel.
+void GatherQuantizedColumns(const QuantizedWeights& q,
+                            const std::vector<size_t>& cols,
+                            QuantizedWeights* out);
+
 /// Reconstructs fp32 weights from `q` (tests and error analysis).
 void DequantizeWeights(const QuantizedWeights& q, Matrix* out);
 
