@@ -115,7 +115,7 @@ std::unique_ptr<ConditionalModel> BuildTrained(const std::string& name,
   return model;
 }
 
-/// A query constraining `cols` to the interval [1, 2] (table order).
+/// A query constraining `cols` to the interval [1, hi] (table order).
 Query QueryOn(const std::vector<size_t>& cols, int32_t hi = 2) {
   std::vector<ValueSet> regions;
   for (size_t d : GoldenDomains()) regions.push_back(ValueSet::All(d));
