@@ -1,5 +1,9 @@
 #include "tensor/gemm.h"
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "tensor/gemm_kernels.h"
 #include "util/thread_pool.h"
 
@@ -8,6 +12,85 @@ namespace naru {
 namespace {
 // Minimum rows per task to avoid parallelization overhead on tiny batches.
 constexpr size_t kMinRowsPerTask = 16;
+
+// The scalar kernel: one register-tiled micro-kernel behind dense GemmNN
+// and GemmNT. It holds a kTileRows x kTileCols block of C in registers for
+// the whole k loop.
+//
+// Bit contract, per C element: one chain of separately rounded multiplies
+// and adds (no FMA; CMakeLists.txt pins -ffp-contract=off) over ascending
+// k. GemmNN's chain starts from C's current value; GemmNT's starts from +0
+// and is then added to C. That is the operation sequence of the plain ikj
+// (NN) and dot-product (NT) loops, so the tiling changes speed, never
+// bits, and no element depends on which tile or row partition it sits in.
+//
+// Quad is a 16-byte GCC/Clang generic vector, the width every baseline
+// ISA holds in one register (SSE2 on x86-64, NEON on aarch64); a tile row
+// is two Quads. Lanes never mix: each one is an independent element chain.
+constexpr size_t kTileRows = 4;
+constexpr size_t kTileCols = 8;
+typedef float Quad __attribute__((vector_size(16)));
+constexpr size_t kQuadFloats = sizeof(Quad) / sizeof(float);
+
+// One tile: R rows of C at `c`, columns [0, width) with width <= kTileCols.
+// `b` points at row 0 of a (k x >=kTileCols) panel with leading dim ldb;
+// all kTileCols floats of each panel row (and of C, when chaining from C)
+// must be readable, which padded Matrix strides and the NT packing
+// guarantee. Lanes at or past `width` are computed and discarded, so C's
+// padding is never written.
+template <size_t R>
+void ScalarTile(const float* a, size_t lda, const float* b, size_t ldb,
+                float* c, size_t ldc, size_t k, size_t width, bool from_c) {
+  Quad lo[R] = {}, hi[R] = {};
+  for (size_t r = 0; r < R && from_c; ++r) {
+    std::memcpy(&lo[r], c + r * ldc, sizeof(Quad));
+    std::memcpy(&hi[r], c + r * ldc + kQuadFloats, sizeof(Quad));
+  }
+  for (size_t kk = 0; kk < k; ++kk) {
+    Quad b0{}, b1{};
+    std::memcpy(&b0, b + kk * ldb, sizeof(Quad));
+    std::memcpy(&b1, b + kk * ldb + kQuadFloats, sizeof(Quad));
+    for (size_t r = 0; r < R; ++r) {
+      const float x = a[r * lda + kk];
+      const Quad av = {x, x, x, x};
+      lo[r] = lo[r] + av * b0;
+      hi[r] = hi[r] + av * b1;
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    if (!from_c) {
+      Quad c0{}, c1{};
+      std::memcpy(&c0, c + r * ldc, sizeof(Quad));
+      std::memcpy(&c1, c + r * ldc + kQuadFloats, sizeof(Quad));
+      lo[r] = c0 + lo[r];
+      hi[r] = c1 + hi[r];
+    }
+    float out[kTileCols];
+    std::memcpy(out, &lo[r], sizeof(Quad));
+    std::memcpy(out + kQuadFloats, &hi[r], sizeof(Quad));
+    std::memcpy(c + r * ldc, out, width * sizeof(float));
+  }
+}
+
+// C rows [lo, hi), logical columns [0, n): (+)= A * B, with B a (k x n)
+// panel as ScalarTile requires. Leftover rows run the same tile with R = 1.
+void ScalarRows(const float* a, size_t lda, const float* b, size_t ldb,
+                float* c, size_t ldc, size_t lo, size_t hi, size_t k,
+                size_t n, bool from_c) {
+  size_t i = lo;
+  for (; i + kTileRows <= hi; i += kTileRows) {
+    for (size_t j = 0; j < n; j += kTileCols) {
+      ScalarTile<kTileRows>(a + i * lda, lda, b + j, ldb, c + i * ldc + j,
+                            ldc, k, std::min(kTileCols, n - j), from_c);
+    }
+  }
+  for (; i < hi; ++i) {
+    for (size_t j = 0; j < n; j += kTileCols) {
+      ScalarTile<1>(a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc, k,
+                    std::min(kTileCols, n - j), from_c);
+    }
+  }
+}
 }  // namespace
 
 void GemmNN(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate,
@@ -40,27 +123,22 @@ void GemmNN(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate,
   ParallelFor(
       0, m,
       [&](size_t lo, size_t hi) {
+        if (!onehot) {
+          ScalarRows(a.data(), a.stride(), b.data(), b.stride(), c->data(),
+                     c->stride(), lo, hi, k, n, /*from_c=*/true);
+          return;
+        }
         for (size_t i = lo; i < hi; ++i) {
           const float* arow = a.Row(i);
           float* crow = c->Row(i);
-          // ikj ordering: inner loop is a vectorizable axpy over B's row.
-          if (onehot) {
-            // Sparse fast path: one-hot input rows are almost all zeros,
-            // so testing A once per k skips whole axpy rows. Exact: the
-            // skipped terms contribute +0.0f. Not worth it for dense
-            // activations, where the branch only impedes vectorization.
-            for (size_t kk = 0; kk < k; ++kk) {
-              const float av = arow[kk];
-              if (av == 0.0f) continue;
-              const float* brow = b.Row(kk);
-              for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-            }
-          } else {
-            for (size_t kk = 0; kk < k; ++kk) {
-              const float av = arow[kk];
-              const float* brow = b.Row(kk);
-              for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-            }
+          // Sparse fast path: one-hot input rows are almost all zeros,
+          // so testing A once per k skips whole axpy rows. Exact: the
+          // skipped terms contribute +0.0f.
+          for (size_t kk = 0; kk < k; ++kk) {
+            const float av = arow[kk];
+            if (av == 0.0f) continue;
+            const float* brow = b.Row(kk);
+            for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
           }
         }
       },
@@ -93,19 +171,26 @@ void GemmNT(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate,
         kMinRowsPerTask);
     return;
   }
+  // Pack B^T once per call into a (k x ldp) panel, then run the NN tile.
+  // The buffer belongs to the calling thread and only grows, so steady
+  // serving allocates nothing here; pool workers read it while this thread
+  // waits in ParallelFor.
+  thread_local std::vector<float> packed;
+  const size_t ldp = (n + kTileCols - 1) / kTileCols * kTileCols;
+  if (packed.size() < k * ldp) packed.resize(k * ldp);
+  float* const bt = packed.data();
+  for (size_t j = 0; j < n; ++j) {
+    const float* brow = b.Row(j);
+    for (size_t kk = 0; kk < k; ++kk) bt[kk * ldp + j] = brow[kk];
+  }
+  for (size_t kk = 0; kk < k; ++kk) {
+    std::fill(bt + kk * ldp + n, bt + (kk + 1) * ldp, 0.0f);
+  }
   ParallelFor(
       0, m,
       [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i) {
-          const float* arow = a.Row(i);
-          float* crow = c->Row(i);
-          for (size_t j = 0; j < n; ++j) {
-            const float* brow = b.Row(j);
-            float acc = 0.0f;
-            for (size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-            crow[j] += acc;
-          }
-        }
+        ScalarRows(a.data(), a.stride(), bt, ldp, c->data(), c->stride(), lo,
+                   hi, k, n, /*from_c=*/false);
       },
       kMinRowsPerTask);
 }

@@ -11,6 +11,10 @@
 //   - Int8: quantize→dequantize round trip within half a step, masked zeros
 //     stay exactly zero, and GemmNNInt8 matches the scalar GEMM over the
 //     dequantized weights within epsilon.
+//   - The scalar kernel's bit contract: the register-tiled GemmNN/GemmNT
+//     reproduce the plain ikj and dot-product loops bit for bit, across
+//     every tile seam, on -0, subnormal, infinite and NaN inputs, without
+//     reading A's padding or writing C's.
 //   - Matrix storage: 64-byte row alignment, padded stride, the
 //     zero-padding invariant, and the Resize preservation contract.
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -248,6 +253,147 @@ TEST(GemmDeterminism, OneHotHintIsExact) {
     GemmNN(a, b, &dense, false, kernel, InputHint::kDense);
     GemmNN(a, b, &hinted, false, kernel, InputHint::kOneHot);
     ExpectBitIdentical(dense, hinted);
+  }
+}
+
+// In-test copies of the loops the tiled scalar kernel replaced. NN: ikj,
+// each C element one chain from its current value. NT: one dot product per
+// element from +0, then added to C. The product is its own statement so
+// the compiler cannot contract it into an FMA under -ffp-contract=on.
+void ReferenceNN(const Matrix& a, const Matrix& b, Matrix* c,
+                 bool accumulate) {
+  const size_t m = a.rows(), k = a.cols(), n = b.cols();
+  if (!accumulate) {
+    c->Resize(m, n);
+    c->Zero();
+  }
+  for (size_t i = 0; i < m; ++i) {
+    float* crow = c->Row(i);
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float av = a.Row(i)[kk];
+      const float* brow = b.Row(kk);
+      for (size_t j = 0; j < n; ++j) {
+        const float p = av * brow[j];
+        crow[j] = crow[j] + p;
+      }
+    }
+  }
+}
+
+void ReferenceNT(const Matrix& a, const Matrix& b, Matrix* c,
+                 bool accumulate) {
+  const size_t m = a.rows(), k = a.cols(), n = b.rows();
+  if (!accumulate) {
+    c->Resize(m, n);
+    c->Zero();
+  }
+  for (size_t i = 0; i < m; ++i) {
+    const float* arow = a.Row(i);
+    float* crow = c->Row(i);
+    for (size_t j = 0; j < n; ++j) {
+      const float* brow = b.Row(j);
+      float acc = 0.0f;
+      for (size_t kk = 0; kk < k; ++kk) {
+        const float p = arow[kk] * brow[kk];
+        acc = acc + p;
+      }
+      crow[j] = crow[j] + acc;
+    }
+  }
+}
+
+// Gaussian values with -0 and subnormals sprinkled everywhere. +-inf and
+// NaN go only where nonfinite(r, c) holds, so most outputs stay finite and
+// their chains are checked too. Row padding holds `pad`, which a kernel
+// must never let into a logical output nor overwrite in C.
+template <typename NonFinite>
+Matrix EdgeMatrix(size_t rows, size_t cols, float pad, Rng* rng,
+                  NonFinite nonfinite) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {-0.0f, 3e-39f, -1e-42f, kInf, -kInf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  Matrix m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    float* row = m.Row(r);
+    for (size_t c = 0; c < cols; ++c) {
+      row[c] = static_cast<float>(rng->Gaussian());
+      if (rng->UniformInt(32) == 0) {
+        const size_t pick = rng->UniformInt(nonfinite(r, c) ? 6 : 3);
+        row[c] = specials[pick];
+      }
+    }
+    for (size_t c = cols; c < m.stride(); ++c) row[c] = pad;
+  }
+  return m;
+}
+
+// Bit equality over whole padded rows. NaN payloads are not part of the
+// contract: IEEE 754 leaves the payload of an operation on two NaNs to the
+// hardware, and compilers may commute the operands of + and *.
+void ExpectSameBits(const Matrix& want, const Matrix& got,
+                    const std::string& what) {
+  ASSERT_EQ(want.rows(), got.rows()) << what;
+  ASSERT_EQ(want.stride(), got.stride()) << what;
+  for (size_t i = 0; i < want.rows(); ++i) {
+    if (std::memcmp(want.Row(i), got.Row(i),
+                    want.stride() * sizeof(float)) == 0) {
+      continue;
+    }
+    for (size_t j = 0; j < want.stride(); ++j) {
+      const float w = want.Row(i)[j], g = got.Row(i)[j];
+      if (std::isnan(w) && std::isnan(g)) continue;
+      ASSERT_EQ(0, std::memcmp(&w, &g, sizeof(float)))
+          << what << " at (" << i << ", " << j << "): want " << w << " got "
+          << g << (j >= want.cols() ? " (padding)" : "");
+    }
+  }
+}
+
+TEST(GemmScalar, TiledMatchesReference) {
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(41);
+  // Rows cross the 4-row tile and its 1-row remainder; columns cross the
+  // 8-column tile, its partial last tile, and the 16-float row padding.
+  for (const size_t m : {1, 3, 4, 5, 7, 1000}) {
+    for (const size_t n : {1, 2, 8, 13, 16, 17, 75, 1175}) {
+      for (const size_t k : {1, 13, 64, 397}) {
+        // The deep reduction runs on the small row counts only; the
+        // 1000-row cases already cross every seam at k <= 64.
+        if (m == 1000 && k == 397) continue;
+        const std::string shape = "m=" + std::to_string(m) +
+                                  " k=" + std::to_string(k) +
+                                  " n=" + std::to_string(n);
+        // A's padding is NaN: reading it would poison a logical output.
+        const Matrix a = EdgeMatrix(m, k, kNaN, &rng, [](size_t r, size_t) {
+          return r % 5 == 2;
+        });
+        // Non-finite values in a few output columns only (B's columns for
+        // NN, B's rows for NT).
+        const Matrix b_nn = EdgeMatrix(k, n, kNaN, &rng, [](size_t, size_t c) {
+          return c % 7 == 3;
+        });
+        const Matrix b_nt = EdgeMatrix(n, k, kNaN, &rng, [](size_t r, size_t) {
+          return r % 7 == 3;
+        });
+        const Matrix base = EdgeMatrix(m, n, 12345.0f, &rng,
+                                       [](size_t r, size_t c) {
+                                         return (r + c) % 11 == 0;
+                                       });
+        for (const bool accumulate : {false, true}) {
+          const std::string what =
+              shape + (accumulate ? " accumulate" : " overwrite");
+          Matrix want = base, got = base;
+          ReferenceNN(a, b_nn, &want, accumulate);
+          GemmNN(a, b_nn, &got, accumulate, KernelKind::kScalar);
+          ExpectSameBits(want, got, "NN " + what);
+          want = base;
+          got = base;
+          ReferenceNT(a, b_nt, &want, accumulate);
+          GemmNT(a, b_nt, &got, accumulate, KernelKind::kScalar);
+          ExpectSameBits(want, got, "NT " + what);
+        }
+      }
+    }
   }
 }
 
