@@ -89,10 +89,12 @@ void NNRowsInt8Portable(const float* a, size_t lda, const int8_t* q,
                         size_t ldq, const float* scales, float* c, size_t ldc,
                         size_t lo, size_t hi, size_t k, bool onehot_a) {
   // Axpy into a row-sized fp32 accumulator so the int8 panel streams
-  // row-major, then apply the per-column scales once.
-  std::vector<float> acc(ldc);
+  // row-major, then apply the per-column scales once. The accumulator is
+  // per-thread scratch that only grows, so steady calls do not allocate.
+  thread_local std::vector<float> acc;
+  if (acc.size() < ldc) acc.resize(ldc);
   for (size_t i = lo; i < hi; ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0f);
+    std::fill(acc.begin(), acc.begin() + ldc, 0.0f);
     const float* arow = a + i * lda;
     for (size_t kk = 0; kk < k; ++kk) {
       const float av = arow[kk];
@@ -242,9 +244,11 @@ __attribute__((target("avx2,fma"))) void NNRowsInt8Avx2(
     // One-hot rows: gather the hot (k, value) pairs once per row, then run
     // the j-tiled loop over just those entries. Keeping j outermost (the
     // dense tail below) would rescan every zero of A once per tile, and at
-    // one-hot densities the branch checks dwarf the actual math.
-    std::vector<uint32_t> hot;
-    std::vector<float> hotv;
+    // one-hot densities the branch checks dwarf the actual math. The gather
+    // lists are per-thread scratch that only grows, so steady calls do not
+    // allocate.
+    thread_local std::vector<uint32_t> hot;
+    thread_local std::vector<float> hotv;
     for (; i < hi; ++i) {
       const float* arow = a + i * lda;
       hot.clear();
