@@ -1,7 +1,8 @@
 // Micro-benchmark for the kernel layer (tensor/gemm_simd.cc): GFLOP/s of
 // scalar vs SIMD vs int8 GEMM at the shapes the MADE serving path actually
-// runs, plus the NT head-reuse shape. Single-threaded on purpose
-// (ScopedSerialRegion) so the numbers measure the kernels, not the pool.
+// runs, plus the NT head-reuse shapes (a small one and the perfbench
+// column-6 head). Single-threaded on purpose (ScopedSerialRegion) so the
+// numbers measure the kernels, not the pool.
 //
 // Emits BENCH_micro_gemm.json (shared schema, see bench_common.h) with one
 // row per (shape, kernel): GFLOP/s, speedup over scalar at the same shape,
@@ -9,7 +10,8 @@
 // times one whole sampling walk per kernel ("made_walk" rows): an in-order
 // 11-column walk on the perfbench model shape through a MADE session
 // (incremental trunk) vs the same walk through stateless
-// ConditionalDistWith (full trunk per column).
+// ConditionalDistWith (full trunk per column), plus the session walk's
+// slowest column step and its best-of time.
 //
 // Exit status: nonzero when a kernel's result diverges from scalar beyond
 // its epsilon, or a session walk step differs bitwise from its stateless
@@ -25,6 +27,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -138,20 +141,26 @@ bool RunWalkRows(double min_seconds, size_t rows, BenchJsonWriter* json,
     }
   }
 
-  std::printf("\n%-20s %-10s %12s %12s %9s\n", "walk", "kernel",
-              "session_ms", "stateless_ms", "speedup");
+  std::printf("\n%-20s %-10s %12s %12s %9s %14s\n", "walk", "kernel",
+              "session_ms", "stateless_ms", "speedup", "slowest_col");
   bool ok = true;
   *session_slower = false;
   for (const KernelKind kernel :
        {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
     model.SetInferenceKernel(kernel);
     std::vector<Matrix> session_probs(n), stateless_probs(n);
+    // Best-of time of each column step across the timed session walks.
+    std::vector<double> col_ms(n, std::numeric_limits<double>::infinity());
     const double session_ms = BestMs(min_seconds, [&] {
       auto session = model.StartSession(rows);
       for (size_t col = 0; col < n; ++col) {
+        Stopwatch sw;
         session->Dist(samples, col, &session_probs[col]);
+        col_ms[col] = std::min(col_ms[col], sw.ElapsedSeconds() * 1e3);
       }
     });
+    const size_t slowest_col = static_cast<size_t>(
+        std::max_element(col_ms.begin(), col_ms.end()) - col_ms.begin());
     MadeModel::EvalContext ctx;
     const double stateless_ms = BestMs(min_seconds, [&] {
       for (size_t col = 0; col < n; ++col) {
@@ -171,8 +180,9 @@ bool RunWalkRows(double min_seconds, size_t rows, BenchJsonWriter* json,
     }
     if (session_ms > stateless_ms) *session_slower = true;
     const double speedup = session_ms > 0 ? stateless_ms / session_ms : 0;
-    std::printf("%-20s %-10s %12.2f %12.2f %8.2fx\n", "made_walk",
-                KernelKindName(kernel), session_ms, stateless_ms, speedup);
+    std::printf("%-20s %-10s %12.2f %12.2f %8.2fx %6.2f (c%zu)\n",
+                "made_walk", KernelKindName(kernel), session_ms,
+                stateless_ms, speedup, col_ms[slowest_col], slowest_col);
     json->AddRow({{"shape", "made_walk"},
                   {"op", "walk"},
                   {"m", rows},
@@ -181,7 +191,9 @@ bool RunWalkRows(double min_seconds, size_t rows, BenchJsonWriter* json,
                   {"kernel", KernelKindName(kernel)},
                   {"session_ms", session_ms},
                   {"stateless_ms", stateless_ms},
-                  {"speedup_vs_stateless", speedup}});
+                  {"speedup_vs_stateless", speedup},
+                  {"slowest_col", slowest_col},
+                  {"slowest_col_ms", col_ms[slowest_col]}});
   }
   return ok;
 }
@@ -203,14 +215,17 @@ int Run() {
       {"made_input_onehot", "nn_onehot", 64, 480, 128},
       // Embedding-reuse output head: logits = trunk x table^T.
       {"head_reuse_nt", "nt", 64, 32, 100},
+      // The same head at the perfbench shape: a 1000-row walk at the
+      // 1175-value column 6 (64-wide embeddings).
+      {"head_reuse_nt", "nt", 1000, 64, 1175},
   };
 
   BenchJsonWriter json("micro_gemm");
   json.SetConfig("smoke", smoke);
   json.SetConfig("min_seconds", min_seconds);
 
-  std::printf("\n%-20s %-10s %10s %9s %12s\n", "shape", "kernel", "gflops",
-              "speedup", "max_rel_err");
+  std::printf("\n%-20s %-14s %-10s %10s %9s %12s\n", "shape", "m x k x n",
+              "kernel", "gflops", "speedup", "max_rel_err");
 
   ScopedSerialRegion serial;  // measure kernels, not the pool
   Rng rng(5);
@@ -272,8 +287,9 @@ int Run() {
       if (std::string(cs.name) == "made_hidden" && kname == "simd") {
         made_hidden_simd_speedup = speedup;
       }
-      std::printf("%-20s %-10s %10.2f %8.2fx %12.3g\n", cs.name,
-                  kname.c_str(), gflops, speedup, rel_err);
+      const std::string dims = StrFormat("%zux%zux%zu", cs.m, cs.k, cs.n);
+      std::printf("%-20s %-14s %-10s %10.2f %8.2fx %12.3g\n", cs.name,
+                  dims.c_str(), kname.c_str(), gflops, speedup, rel_err);
       json.AddRow({{"shape", cs.name},
                    {"op", cs.op},
                    {"m", cs.m},
