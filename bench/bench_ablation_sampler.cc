@@ -1,10 +1,11 @@
 // §5.1 ablation: progressive sampling vs the uniform-region strawman.
 //
 // Both samplers integrate the same trained model over the same queries with
-// the same path budget. Expected shape (the paper's motivating failure):
-// uniform sampling returns ~zero mass on most range queries over skewed,
-// correlated data, collapsing at the tail, while progressive sampling stays
-// accurate with the same number of paths.
+// the same path budget, through the sequential ProgressiveSampler (the
+// strawman is a sampler mode, not a serving option). Expected shape (the
+// paper's motivating failure): uniform sampling returns ~zero mass on most
+// range queries over skewed, correlated data, collapsing at the tail, while
+// progressive sampling stays accurate with the same number of paths.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -29,16 +30,19 @@ int Run() {
   std::vector<std::unique_ptr<ErrorReport>> reports;
   for (bool uniform : {false, true}) {
     for (size_t paths : {size_t{2000}}) {
-      NaruEstimatorConfig ncfg;
-      ncfg.num_samples = paths;
-      ncfg.uniform_region = uniform;
-      ncfg.enumeration_threshold = 0;
-      ncfg.sampler_seed = env.seed + 6;
-      NaruEstimator est(model.get(), ncfg, 0,
-                        StrFormat("%s-%zu", uniform ? "Uniform" : "Progr",
-                                  paths));
-      reports.push_back(std::make_unique<ErrorReport>(est.name()));
-      EvaluateEstimator(&est, test, n, reports.back().get());
+      ProgressiveSamplerConfig scfg;
+      scfg.num_samples = paths;
+      scfg.seed = env.seed + 6;
+      scfg.uniform_region = uniform;
+      ProgressiveSampler sampler(model.get(), scfg);
+      reports.push_back(std::make_unique<ErrorReport>(
+          StrFormat("%s-%zu", uniform ? "Uniform" : "Progr", paths)));
+      for (size_t i = 0; i < test.queries.size(); ++i) {
+        reports.back()->Add(
+            sampler.EstimateSelectivity(test.queries[i]) *
+                static_cast<double>(n),
+            static_cast<double>(test.cards[i]), test.sels[i]);
+      }
     }
   }
   std::vector<const ErrorReport*> rows;
@@ -46,11 +50,10 @@ int Run() {
   PrintErrorTable("Errors grouped by true selectivity:", rows);
 
   // Count uniform-sampler zero estimates (the paper's collapse symptom).
-  NaruEstimatorConfig ucfg;
+  ProgressiveSamplerConfig ucfg;
   ucfg.num_samples = 4000;
   ucfg.uniform_region = true;
-  ucfg.enumeration_threshold = 0;
-  NaruEstimator uniform(model.get(), ucfg, 0, "Uniform");
+  ProgressiveSampler uniform(model.get(), ucfg);
   size_t zeros = 0;
   size_t nonzero_truth = 0;
   for (size_t i = 0; i < test.queries.size(); ++i) {

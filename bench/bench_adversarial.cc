@@ -26,6 +26,11 @@
 //   --serve-samples N    baseline sample budget      (default 256, smoke 128)
 //   --smoke              CI preset: tiny model, no arrival sleeps, scaled
 //                        mid-walk budgets
+//
+// The mid-walk cell's tight deadline is not a constant: it is one
+// micro-batch of the cell's own walks, timed on this host when the cell
+// starts, so abandonments keep landing mid-walk on fast and slow hosts
+// alike.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -56,6 +61,40 @@ double QError(double est_sel, double true_sel, double rows) {
   const double est = std::max(est_sel * rows, 1.0);
   const double truth = std::max(true_sel * rows, 1.0);
   return std::max(est / truth, truth / est);
+}
+
+/// Median wall time of one mid-walk micro-batch: `width` sampled pool
+/// queries at `budget` paths each, served by a fresh cache-less engine
+/// with `threads` workers (three batches of consecutive pool entries).
+double MicroBatchMs(NaruEstimator* est, const std::vector<Query>& pool,
+                    size_t budget, size_t width, size_t threads) {
+  std::vector<EstimateRequest> sampled;
+  for (const Query& q : pool) {
+    if (est->sampler()->Classify(q) != ProgressiveSampler::Path::kSampled) {
+      continue;
+    }
+    sampled.emplace_back(q);
+    sampled.back().options.num_samples = budget;
+  }
+  NARU_CHECK(!sampled.empty());
+  InferenceEngineConfig ecfg;
+  ecfg.num_threads = threads;
+  ecfg.enable_cache = false;
+  InferenceEngine engine(ecfg);
+  std::vector<double> ms;
+  std::vector<EstimateRequest> batch;
+  std::vector<EstimateResult> out;
+  for (size_t b = 0; b < 3; ++b) {
+    batch.clear();
+    for (size_t j = 0; j < width; ++j) {
+      batch.push_back(sampled[(b * width + j) % sampled.size()]);
+    }
+    Stopwatch sw;
+    engine.EstimateBatch(est, batch, &out);
+    ms.push_back(sw.ElapsedMillis());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[1];
 }
 
 int Run() {
@@ -102,29 +141,40 @@ int Run() {
   size_t total_shed_midwalk = 0, total_priority_flushes = 0;
 
   for (AdversarialScenario sc : AdversarialScenarioMatrix()) {
-    if (smoke && sc.request_samples > 0) {
-      // Keep the mid-walk cell CI-sized: the contract is only that the
-      // full walk takes MUCH longer than the live deadline, so an
-      // abandonment lands at a column-step boundary in between.
-      sc.request_samples = 4000;
-      // ~One smoke-model micro-batch (two concurrent 4000-sample walks):
-      // wide enough that tights arriving during the in-flight batch are
-      // still live at their (tightest-first) dispatch, narrow enough
-      // that their own walk overruns it.
-      sc.tight_deadline_ms = 400.0;
-    }
-    const AdversarialTrace trace = GenerateAdversarialTrace(
-        table, sc, pool_size, num_requests, env.seed + 101);
-
-    AsyncEngineConfig acfg;
+    // Keep the mid-walk cell CI-sized under --smoke: the contract is only
+    // that a walk takes longer than the live deadline, so an abandonment
+    // lands at a column-step boundary in between.
+    if (smoke && sc.request_samples > 0) sc.request_samples = 4000;
     // Mid-walk cells get tiny flushes (each walk is huge, batching them
     // only adds queue delay). Bursty cells face a BOUNDED queue so the
     // admission policy is in play, with flushes strictly narrower than
     // the bound — a flush that swallows the whole queue leaves nothing
     // behind to jump ahead of, and priority flushing could never fire.
-    acfg.max_batch_size =
+    const size_t max_batch =
         (sc.request_samples > 0 || sc.arrival == ArrivalKind::kBursty) ? 2
                                                                        : 8;
+    AdversarialTrace trace = GenerateAdversarialTrace(
+        table, sc, pool_size, num_requests, env.seed + 101);
+    if (sc.request_samples > 0) {
+      // The tight deadline is one micro-batch of this cell's walks on this
+      // host: tights arriving during an in-flight batch are still live at
+      // their (tightest-first) dispatch, and their own batch overruns it.
+      // The pool does not depend on the deadline, so regenerating keeps
+      // the pool and the arrivals.
+      sc.tight_deadline_ms =
+          MicroBatchMs(&est, trace.pool, sc.request_samples, max_batch,
+                       threads);
+      std::printf("# %s: tight deadline %.1f ms (one %zu x %zu-sample "
+                  "micro-batch, timed here)\n",
+                  sc.name.c_str(), sc.tight_deadline_ms, max_batch,
+                  sc.request_samples);
+      json.SetConfig(sc.name + "_tight_deadline_ms", sc.tight_deadline_ms);
+      trace = GenerateAdversarialTrace(table, sc, pool_size, num_requests,
+                                       env.seed + 101);
+    }
+
+    AsyncEngineConfig acfg;
+    acfg.max_batch_size = max_batch;
     acfg.max_wait_ms = 0.5;
     acfg.max_pending = sc.arrival == ArrivalKind::kBursty ? 6 : 0;
     acfg.engine.num_threads = threads;

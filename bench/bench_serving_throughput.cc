@@ -19,18 +19,13 @@
 // quarter shares CONSTRAINED leading prefixes (identical equality
 // literals on `--serve-shared-prefix` columns, drawn from a few template
 // tuples) — the two structures hierarchical plan trees (src/plan) fuse.
-// Every engine grid point runs as a three-way PLAN ABLATION: legacy
-// (planning off), flat (one-level prefix groups, the pre-tree planner),
-// and tree (hierarchical prefix forking) — so the tree/flat and
-// tree/legacy speedups are measured directly, and every leg must produce
-// bit-identical estimates.
 //
 // A second phase compares inference KERNELS (tensor/kernel.h) at the
 // largest grid point: scalar vs simd vs simd_int8, each with a fresh
 // estimator + engine, reporting qps, q-error quantiles against executed
 // ground truth, and a bit-determinism check across thread counts within
 // each kernel. Emits BENCH_serving_throughput.json (shared schema,
-// row_schema v2: grid rows carry "plan" in {legacy, flat, tree}).
+// row_schema v2: grid rows carry "plan": "tree", the one engine route).
 //
 // Knobs (env or flags, see bench_common.h):
 //   --kernel K          kernel for the GRID phase: scalar|simd|simd_int8
@@ -48,10 +43,10 @@
 //   --group-width W     plan fork fan-out cap: auto (width-aware, the
 //                       default) or a fixed positive integer
 //   --smoke             CI preset: tiny model/trace, single grid point;
-//                       exits nonzero if any planned leg's estimates
-//                       diverge from the sequential (or legacy) path, if a
-//                       kernel is non-deterministic across thread counts,
-//                       or if int8's median q-error shifts >5% vs fp32
+//                       exits nonzero if the engine's estimates diverge
+//                       from the sequential path, if a kernel is
+//                       non-deterministic across thread counts, or if
+//                       int8's median q-error shifts >5% vs fp32
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -90,7 +85,7 @@ int Run() {
           : static_cast<size_t>(std::clamp<int64_t>(
                 GetEnvInt("NARU_GROUP_WIDTH", 0), 1, 4096));
   PrintBanner(
-      "Serving throughput: tree vs flat vs legacy engine vs sequential",
+      "Serving throughput: planned engine vs sequential",
       StrFormat("rows=%zu requests=%zu unique=%zu samples=%zu "
                 "prefix-wildcards=%zu shared-prefix=%zu group-width=%s "
                 "kernel=%s (%s)%s",
@@ -118,9 +113,8 @@ int Run() {
   wcfg.leading_wildcards = prefix_wildcards;
   wcfg.leading_wildcard_fraction = prefix_wildcards > 0 ? 0.5 : 0.0;
   wcfg.shared_prefix_columns = shared_prefix;
-  // Constrained prefixes are invisible to flat plans (leading-wildcard run
-  // 0), so this fraction is the tree-only share of the trace. Two template
-  // tuples keep each batch's literal groups wide enough to fork-share.
+  // Two template tuples keep each batch's literal groups wide enough to
+  // fork-share.
   wcfg.shared_prefix_fraction = shared_prefix > 0 ? 0.6 : 0.0;
   wcfg.shared_prefix_templates = 2;
   wcfg.seed = env.seed + 17;
@@ -177,9 +171,9 @@ int Run() {
   if (env.threads > 0) thread_grid = {env.threads};
   if (env.batch > 0) batch_grid = {env.batch};
 
-  std::printf("\n%8s %6s %6s %10s %10s %9s %9s %6s %6s %5s %6s\n", "threads",
-              "batch", "plan", "qps", "speedup", "memo", "sampled", "trees",
-              "share", "depth", "saved");
+  std::printf("\n%8s %6s %10s %10s %9s %9s %6s %6s %5s\n", "threads",
+              "batch", "qps", "speedup", "memo", "sampled", "trees", "share",
+              "depth");
 
   // Baseline: the sequential pre-engine path — one thread, one query at a
   // time, no cross-query sharing of any kind.
@@ -194,9 +188,8 @@ int Run() {
     const double secs = sw.ElapsedSeconds();
     baseline_qps = secs > 0 ? static_cast<double>(trace.size()) / secs : 0.0;
   }
-  std::printf(
-      "%8d %6d %6s %10.1f %9.2fx %9s %9zu %6s %6s %5s %6s   (sequential)\n", 1,
-      1, "-", baseline_qps, 1.0, "-", trace.size(), "-", "-", "-", "-");
+  std::printf("%8d %6d %10.1f %9.2fx %9s %9zu %6s %6s %5s   (sequential)\n",
+              1, 1, baseline_qps, 1.0, "-", trace.size(), "-", "-", "-");
 
   BenchJsonWriter json("serving_throughput");
   json.SetConfig("rows", rows);
@@ -208,27 +201,14 @@ int Run() {
   json.SetConfig("row_schema", "v2");
   json.SetConfig("group_width", width_str);
 
-  // One ablation leg per grid point: planning off, flat one-level groups,
-  // or hierarchical trees.
-  struct PlanLeg {
-    const char* name;
-    bool planned;
-    PlanMode mode;
-  };
-  const PlanLeg kLegs[] = {{"legacy", false, PlanMode::kFlat},
-                           {"flat", true, PlanMode::kFlat},
-                           {"tree", true, PlanMode::kTree}};
-
   // Runs the whole trace through a fresh engine; returns qps, fills
   // per-request estimates. Every result must come back OK — nothing here
   // carries a deadline.
   auto run_trace = [&](NaruEstimator* e, size_t threads, size_t batch,
-                       const PlanLeg& leg, std::vector<double>* results,
+                       std::vector<double>* results,
                        EngineStats* stats_out) -> double {
     InferenceEngineConfig ecfg;
     ecfg.num_threads = threads;
-    ecfg.enable_plan = leg.planned;
-    ecfg.plan_mode = leg.mode;
     ecfg.group_width = group_width;
     InferenceEngine engine(ecfg);  // fresh engine: caches start cold
     results->assign(trace.size(), 0.0);
@@ -252,71 +232,40 @@ int Run() {
                               : 0.0;
   };
 
-  double headline_tree = 0;    // largest threads x largest batch, trees
-  double headline_flat = 0;    // same point, flat one-level groups
-  double headline_legacy = 0;  // same point, planning disabled
   bool all_identical = true;
 
   for (size_t threads : thread_grid) {
     for (size_t batch : batch_grid) {
-      for (const PlanLeg& leg : kLegs) {
-        // Typed serving surface: default-option requests are required to
-        // be bit-identical to the sequential path. Best-of-3 per leg: each
-        // rep runs a fresh (cold) engine, so the max measures the engine,
-        // not the scheduler's worst interruption.
-        std::vector<double> results;
-        EngineStats stats;
-        double qps = 0.0;
-        for (int rep = 0; rep < 3; ++rep) {
-          qps = std::max(
-              qps, run_trace(&est, threads, batch, leg, &results, &stats));
-          if (results != reference) all_identical = false;
-        }
-        if (threads == thread_grid.back() && batch == batch_grid.back()) {
-          if (!leg.planned) {
-            headline_legacy = qps;
-          } else if (leg.mode == PlanMode::kTree) {
-            headline_tree = qps;
-          } else {
-            headline_flat = qps;
-          }
-        }
-
-        // "saved" = shared column steps beyond what flat one-level groups
-        // would have shared on the same batches.
-        const size_t saved =
-            stats.plan_shared_cols > stats.plan_flat_shared_cols
-                ? stats.plan_shared_cols - stats.plan_flat_shared_cols
-                : 0;
-        std::printf(
-            "%8zu %6zu %6s %10.1f %9.2fx %9zu %9zu %6zu %6.3f %5zu %6zu\n",
-            threads, batch, leg.name, qps,
-            baseline_qps > 0 ? qps / baseline_qps : 0.0, stats.memo_hits,
-            stats.sampled, stats.plan_trees, stats.prefix_share_ratio(),
-            stats.plan_max_depth, saved);
-        json.AddRow({{"phase", "grid"},
-                     {"threads", threads},
-                     {"batch", batch},
-                     {"plan", leg.name},
-                     {"qps", qps},
-                     {"speedup_vs_sequential",
-                      baseline_qps > 0 ? qps / baseline_qps : 0.0}});
+      // Typed serving surface: default-option requests are required to be
+      // bit-identical to the sequential path. Best-of-3: each rep runs a
+      // fresh (cold) engine, so the max measures the engine, not the
+      // scheduler's worst interruption.
+      std::vector<double> results;
+      EngineStats stats;
+      double qps = 0.0;
+      for (int rep = 0; rep < 3; ++rep) {
+        qps = std::max(qps, run_trace(&est, threads, batch, &results, &stats));
+        if (results != reference) all_identical = false;
       }
+      std::printf("%8zu %6zu %10.1f %9.2fx %9zu %9zu %6zu %6.3f %5zu\n",
+                  threads, batch, qps,
+                  baseline_qps > 0 ? qps / baseline_qps : 0.0,
+                  stats.memo_hits, stats.sampled, stats.plan_trees,
+                  stats.prefix_share_ratio(), stats.plan_max_depth);
+      // "plan" keeps the row's trajectory identity from when the bench
+      // compared engine routes; trees are the one route now.
+      json.AddRow({{"phase", "grid"},
+                   {"threads", threads},
+                   {"batch", batch},
+                   {"plan", "tree"},
+                   {"qps", qps},
+                   {"speedup_vs_sequential",
+                    baseline_qps > 0 ? qps / baseline_qps : 0.0}});
     }
   }
 
   std::printf("\nestimates bit-identical across all configurations: %s\n",
               all_identical ? "yes" : "NO (BUG)");
-  if (headline_legacy > 0 && headline_flat > 0 && headline_tree > 0) {
-    std::printf(
-        "headline: tree vs flat plans at threads=%zu/batch=%zu = %.2fx "
-        "(tree %.2fx, flat %.2fx, legacy %.2fx over sequential)\n",
-        thread_grid.back(), batch_grid.back(), headline_tree / headline_flat,
-        baseline_qps > 0 ? headline_tree / baseline_qps : 0.0,
-        baseline_qps > 0 ? headline_flat / baseline_qps : 0.0,
-        baseline_qps > 0 ? headline_legacy / baseline_qps : 0.0);
-    json.SetConfig("headline_tree_vs_flat", headline_tree / headline_flat);
-  }
 
   // --- Kernel comparison at the largest grid point ---------------------
   //
@@ -343,12 +292,11 @@ int Run() {
     NaruEstimator kest(model.get(), kcfg, model->SizeBytes());
 
     std::vector<double> results, results_alt;
-    const double qps =
-        run_trace(&kest, kthreads, kbatch, kLegs[2], &results, nullptr);
+    const double qps = run_trace(&kest, kthreads, kbatch, &results, nullptr);
     // Determinism contract: a different thread count must not change a
     // single bit of any estimate under the same kernel.
     const size_t alt_threads = kthreads > 2 ? 2 : kthreads + 1;
-    run_trace(&kest, alt_threads, kbatch, kLegs[2], &results_alt, nullptr);
+    run_trace(&kest, alt_threads, kbatch, &results_alt, nullptr);
     const bool deterministic = results == results_alt;
     if (!deterministic) kernels_ok = false;
 

@@ -21,29 +21,28 @@ namespace naru {
 ///
 /// Dist fills probs (batch x domain(col)) with P̂(X_col = v | samples_<col)
 /// for each row r of `samples`, reading samples(r, j) for j < col only.
+/// Row r's result depends on row r's prefix alone, bit for bit — never on
+/// the other rows or the row count — so the plan executor (src/plan) may
+/// stack the rows of unrelated walks into one call.
 ///
 /// Call order: a session may keep per-row state between Dist calls (the
-/// Oracle's shrinking row groups, MADE's incremental trunk), so a caller
-/// must keep to one of two patterns.
-///   - An in-order walk: col = 0, 1, 2, ... on the same rows, where the
-///     caller only ever writes column col-1 of each row between the calls
-///     for col-1 and col (sampling writes the drawn value; dead paths
-///     write a fallback code). ProgressiveSampler and TupleGenerator walk
-///     this way.
-///   - A relayout: after the rows of `samples` stop continuing the walk
-///     the session has seen — rows forked, retired, reordered or replaced,
-///     even at an unchanged row count — the caller calls ResetWalk()
-///     before the next Dist. The sampling-plan executor does this after
-///     every boundary relayout. Sessions of models that declare
-///     SupportsStackedEvaluation() then accept any col, the way the first
-///     Dist of a fresh session does. Other sessions only restart at col 0.
+/// Oracle's path groups, MADE's incremental trunk), so every caller walks
+/// in order: col = 0, 1, 2, ..., writing only column col-1 of each row
+/// between the calls for col-1 and col (sampling writes the drawn value;
+/// dead paths write a fallback code). Rows may be rearranged between two
+/// calls, announced by Relayout (below). ProgressiveSampler and
+/// TupleGenerator never rearrange; the sampling-plan executor does at
+/// every fork or retire boundary.
 class SamplingSession {
  public:
   virtual ~SamplingSession() = default;
   virtual void Dist(const IntMatrix& samples, size_t col, Matrix* probs) = 0;
-  /// Drops any per-row state carried from earlier Dist calls (see above).
-  /// Default: a no-op, for sessions that keep none.
-  virtual void ResetWalk() {}
+  /// The rows of `samples` were rearranged since the last Dist: new row i
+  /// continues old row src[i] (rows may be duplicated, dropped or
+  /// permuted, and the row count may change). The session rearranges its
+  /// per-row state the same way and keeps walking in order. Default: a
+  /// no-op, for sessions that keep none.
+  virtual void Relayout(const std::vector<size_t>& src) { (void)src; }
 };
 
 /// A joint distribution factored in column order (chain rule, §2.1).
@@ -148,21 +147,6 @@ class ConditionalModel {
   /// models without tuned kernels (the Oracle, per-column nets).
   virtual void SetInferenceKernel(KernelKind kernel) { (void)kernel; }
   virtual KernelKind inference_kernel() const { return KernelKind::kScalar; }
-
-  /// True when this model's sampling sessions are RESUMABLE and
-  /// ROW-INDEPENDENT: a fresh (or ResetWalk) session answers Dist at any
-  /// column with any row count, and each row's result depends on that
-  /// row's codes alone, so rows from unrelated walks may be stacked into
-  /// one matrix and evaluated in one call with per-row results
-  /// bit-identical to evaluating each walk separately. This is the
-  /// contract the sampling-plan executor (src/plan) relies on for both
-  /// prefix forking (resume a walk at column L after a relayout) and
-  /// cross-query GEMM fusion (one stacked forward pass for a plan tree's
-  /// whole frontier). Feed-forward models declare this (MADE, whose
-  /// in-order walk state is per row, and the transformer); models whose
-  /// session state cannot restart mid-walk (the Oracle's shrinking row
-  /// lists) must not.
-  virtual bool SupportsStackedEvaluation() const { return false; }
 
   /// Dominant GEMM inner width of the stacked inference path (the widest
   /// hidden layer a stacked Dist call multiplies through). The plan

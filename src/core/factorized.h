@@ -110,13 +110,6 @@ class FactorizedModel : public ConditionalModel, public TrainableModel {
   bool SupportsConcurrentSampling() const override {
     return cond_->SupportsConcurrentSampling();
   }
-  /// Sessions are the inner model's, so purity is inherited; the
-  /// prefix-dependent low-sub-column masking lives in MaskProbsToRegion,
-  /// which the plan executor applies per row exactly as the sequential
-  /// sampler does.
-  bool SupportsStackedEvaluation() const override {
-    return cond_->SupportsStackedEvaluation();
-  }
   size_t StackedWidthHint() const override {
     return cond_->StackedWidthHint();
   }

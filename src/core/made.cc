@@ -1,6 +1,7 @@
 #include "core/made.h"
 
 #include <cmath>
+#include <utility>
 
 #include "nn/loss.h"
 #include "nn/serialize.h"
@@ -226,13 +227,25 @@ class MadeModel::Session : public SamplingSession {
     SoftmaxRows(ctx_.block, probs);
   }
 
-  void ResetWalk() override { next_col_ = kNoWalk; }
+  // Gathers the trunk rows the way the caller gathered its sample rows,
+  // so the walk keeps advancing one degree per column.
+  void Relayout(const std::vector<size_t>& src) override {
+    if (next_col_ == kNoWalk) return;  // no trunk yet
+    GatherRows(ctx_.x, src, &gathered_);
+    std::swap(ctx_.x, gathered_);
+    for (Matrix& act : ctx_.acts) {
+      GatherRows(act, src, &gathered_);
+      std::swap(act, gathered_);
+    }
+    rows_ = src.size();
+  }
 
  private:
   static constexpr size_t kNoWalk = static_cast<size_t>(-1);
 
   const MadeModel* model_;
   EvalContext ctx_;
+  Matrix gathered_;  // Relayout scratch, swapped with the trunk matrices
   size_t next_col_ = kNoWalk;  // the column an in-order walk asks for next
   size_t rows_ = 0;
   KernelKind kernel_ = KernelKind::kScalar;

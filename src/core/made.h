@@ -74,11 +74,13 @@ class MadeModel : public ConditionalModel, public TrainableModel {
                    std::vector<double>* out_nats) override;
   /// Sessions own an EvalContext each, so they can run concurrently. A
   /// session keeps its trunk between Dist calls: when called with col =
-  /// previous col + 1 on the same rows (and no ResetWalk in between), it
-  /// encodes only column col-1 and recomputes only the hidden units of
-  /// degree col-1 — the only units whose inputs changed. Column 0 needs no
-  /// trunk at all (its head reads no hidden unit); any other call runs the
-  /// full trunk. Results are bit-identical to ConditionalDistWith.
+  /// previous col + 1 on the same rows (or on rows a Relayout rearranged,
+  /// whose trunk rows it gathers the same way), it encodes only column
+  /// col-1 and recomputes only the hidden units of degree col-1 — the only
+  /// units whose inputs changed. Every kernel on the path (encode, gemm,
+  /// bias, relu, softmax) is row-independent. Column 0 needs no trunk at
+  /// all (its head reads no hidden unit); any other call runs the full
+  /// trunk. Results are bit-identical to ConditionalDistWith.
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
   bool SupportsConcurrentSampling() const override { return true; }
   /// Switches the inference forward paths (ConditionalDist*, LogProbRows,
@@ -88,11 +90,6 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   /// encoder, so it is not quantized).
   void SetInferenceKernel(KernelKind kernel) override;
   KernelKind inference_kernel() const override { return inference_kernel_; }
-  /// Every kernel on the Dist path (encode, gemm, bias, relu, softmax) is
-  /// row-independent, so stacked rows of unrelated walks evaluate
-  /// bit-identically to evaluating each walk separately, and a session
-  /// resumes at any column after ResetWalk.
-  bool SupportsStackedEvaluation() const override { return true; }
   /// The widest hidden layer dominates the stacked GEMM chain (linear
   /// MADE: no hidden GEMMs, leave the hint unknown).
   size_t StackedWidthHint() const override {

@@ -35,10 +35,11 @@ struct PathGroup {
 
 class OracleSession : public SamplingSession {
  public:
-  OracleSession(const Table* table, double lambda, size_t batch)
-      : table_(table), lambda_(lambda), batch_(batch) {}
+  OracleSession(const Table* table, double lambda)
+      : table_(table), lambda_(lambda) {}
 
   void Dist(const IntMatrix& samples, size_t col, Matrix* probs) override {
+    const size_t batch = samples.rows();
     if (col == 0) {
       // One root group: all paths, all rows.
       groups_.clear();
@@ -47,8 +48,8 @@ class OracleSession : public SamplingSession {
       for (size_t r = 0; r < table_->num_rows(); ++r) {
         root.rows[r] = static_cast<uint32_t>(r);
       }
-      root.paths.resize(batch_);
-      for (size_t p = 0; p < batch_; ++p) {
+      root.paths.resize(batch);
+      for (size_t p = 0; p < batch; ++p) {
         root.paths[p] = static_cast<uint32_t>(p);
       }
       groups_.push_back(std::move(root));
@@ -57,7 +58,7 @@ class OracleSession : public SamplingSession {
     }
 
     const size_t domain = table_->column(col).DomainSize();
-    probs->Resize(batch_, domain);
+    probs->Resize(batch, domain);
     std::vector<int64_t> counts(domain);
     const Column& column = table_->column(col);
     for (const auto& g : groups_) {
@@ -71,6 +72,28 @@ class OracleSession : public SamplingSession {
         std::copy(shared.begin(), shared.end(), probs->Row(p));
       }
     }
+  }
+
+  // A path keeps its prefix, hence its group: new path i joins old path
+  // src[i]'s group. Groups left without paths are dropped.
+  void Relayout(const std::vector<size_t>& src) override {
+    if (groups_.empty()) return;  // before the first Dist
+    std::vector<uint32_t> group_of;
+    for (size_t g = 0; g < groups_.size(); ++g) {
+      for (uint32_t p : groups_[g].paths) {
+        if (p >= group_of.size()) group_of.resize(p + 1);
+        group_of[p] = static_cast<uint32_t>(g);
+      }
+      groups_[g].paths.clear();
+    }
+    for (size_t i = 0; i < src.size(); ++i) {
+      groups_[group_of[src[i]]].paths.push_back(static_cast<uint32_t>(i));
+    }
+    groups_.erase(std::remove_if(groups_.begin(), groups_.end(),
+                                 [](const PathGroup& g) {
+                                   return g.paths.empty();
+                                 }),
+                  groups_.end());
   }
 
  private:
@@ -116,7 +139,6 @@ class OracleSession : public SamplingSession {
 
   const Table* table_;
   double lambda_;
-  size_t batch_;
   std::vector<PathGroup> groups_;
 };
 
@@ -156,7 +178,8 @@ void OracleModel::ConditionalDist(const IntMatrix& samples, size_t col,
 }
 
 std::unique_ptr<SamplingSession> OracleModel::StartSession(size_t batch) {
-  return std::make_unique<OracleSession>(table_, lambda_, batch);
+  (void)batch;  // the root group takes its paths from the first Dist
+  return std::make_unique<OracleSession>(table_, lambda_);
 }
 
 double OracleModel::CrossEntropyBits() const {

@@ -86,10 +86,6 @@ class OrderedModel : public ConditionalModel, public TrainableModel {
   bool SupportsConcurrentSampling() const override {
     return cond_->SupportsConcurrentSampling();
   }
-  /// Sessions are the inner model's, so purity is inherited.
-  bool SupportsStackedEvaluation() const override {
-    return cond_->SupportsStackedEvaluation();
-  }
   size_t StackedWidthHint() const override {
     return cond_->StackedWidthHint();
   }

@@ -87,11 +87,8 @@ size_t SamplerNumShards(size_t num_samples, size_t shard_size) {
 }
 
 ProgressiveSampler::ProgressiveSampler(ConditionalModel* model,
-                                       ProgressiveSamplerConfig cfg,
-                                       SamplerWorkspacePool* workspaces)
-    : model_(model),
-      cfg_(cfg),
-      workspaces_(workspaces != nullptr ? workspaces : &own_workspaces_) {
+                                       ProgressiveSamplerConfig cfg)
+    : model_(model), cfg_(cfg) {
   NARU_CHECK(cfg_.num_samples >= 1);
   NARU_CHECK(cfg_.shard_size >= 1);
 }
@@ -158,10 +155,6 @@ double ProgressiveSampler::LeadingOnlyMass(const Query& query) {
 double ProgressiveSampler::EstimateWithOptions(const Query& query,
                                                double* std_error,
                                                const RunOptions& options) {
-  const size_t parallelism =
-      options.parallelism != 0 ? options.parallelism : cfg_.parallelism;
-  SamplerWorkspacePool* workspaces =
-      options.workspaces != nullptr ? options.workspaces : workspaces_;
   const size_t num_samples =
       options.num_samples != 0 ? options.num_samples : cfg_.num_samples;
   NARU_CHECK(query.num_columns() == model_->num_table_columns());
@@ -195,7 +188,7 @@ double ProgressiveSampler::EstimateWithOptions(const Query& query,
     const size_t lo = k * cfg_.shard_size;
     const size_t rows = std::min(cfg_.shard_size, num_samples - lo);
     Rng rng(ShardSeed(cfg_.seed, k));
-    WorkspaceLease ws(workspaces);
+    WorkspaceLease ws(&workspaces_);
     shard_w[k] = cfg_.uniform_region
                      ? UniformShardWeightSum(query, rows, &rng, ws.get())
                      : ShardWeightSum(query, rows, last_col, &rng, ws.get(),
@@ -205,29 +198,23 @@ double ProgressiveSampler::EstimateWithOptions(const Query& query,
 
   // The model's kernel-level parallelism (gemm) is suppressed inside shard
   // execution whenever shard-level parallelism is available, so thread
-  // accounting stays honest: "parallelism 1" on a concurrent-capable model
-  // really runs on one thread.
+  // accounting stays honest.
   const bool concurrent_ok = model_->SupportsConcurrentSampling();
-  // A caller-established serial region wins over any parallelism setting:
-  // whoever opened it (the serving engine's per-query workers, a bench's
-  // sequential baseline) is accounting threads at a coarser grain.
-  const bool parallel = concurrent_ok && parallelism != 1 &&
-                        num_shards > 1 && !ScopedSerialRegion::Active();
+  // A caller-established serial region wins: whoever opened it (a bench's
+  // sequential baseline, say) is accounting threads at a coarser grain.
+  const bool parallel =
+      concurrent_ok && num_shards > 1 && !ScopedSerialRegion::Active();
   if (parallel) {
-    ThreadPool* pool = options.thread_pool != nullptr ? options.thread_pool
-                       : cfg_.thread_pool != nullptr  ? cfg_.thread_pool
-                                                      : GlobalThreadPool();
-    pool->ParallelFor(
+    GlobalThreadPool()->ParallelFor(
         0, num_shards,
         [&](size_t lo, size_t hi) {
           ScopedSerialRegion serial;
           for (size_t k = lo; k < hi; ++k) run_shard(k);
         },
         /*min_chunk=*/1);
-  } else if ((concurrent_ok && num_shards > 1) || parallelism == 1) {
-    // Serial was chosen even though parallelism was available (an explicit
-    // parallelism=1, or a caller's serial region): honest thread
-    // accounting, kernels run inline.
+  } else if (concurrent_ok && num_shards > 1) {
+    // Serial was chosen even though parallelism was available (a caller's
+    // serial region): honest thread accounting, kernels run inline.
     ScopedSerialRegion serial;
     for (size_t k = 0; k < num_shards; ++k) run_shard(k);
   } else {

@@ -75,15 +75,14 @@ class TransformerModel : public ConditionalModel, public TrainableModel {
   /// Re-entrant ConditionalDist evaluating through caller-owned scratch.
   void ConditionalDistWith(EvalContext* ctx, const IntMatrix& samples,
                            size_t col, Matrix* probs) const;
-  /// Sessions own an EvalContext each, so they can run concurrently.
+  /// Sessions own an EvalContext each, so they can run concurrently. They
+  /// keep no state between Dist calls (Relayout is a no-op): each
+  /// recomputes from the prefix through ConditionalDistWith. Causal
+  /// attention only mixes token positions *within* a row; across rows
+  /// every kernel on the path (embed, layernorm, gemm, attention, softmax)
+  /// is row-independent.
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
   bool SupportsConcurrentSampling() const override { return true; }
-  /// Sessions keep no state between Dist calls: each recomputes from the
-  /// prefix through ConditionalDistWith. Causal attention only mixes token
-  /// positions *within* a row — across rows every kernel on the path
-  /// (embed, layernorm, gemm, attention, softmax) is row-independent — so
-  /// stacked rows of unrelated walks evaluate bit-identically.
-  bool SupportsStackedEvaluation() const override { return true; }
   /// The widest GEMM in the stacked chain is the FFN inner layer (or the
   /// d_model-wide projections when ffn_hidden is smaller).
   size_t StackedWidthHint() const override {

@@ -69,6 +69,7 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
   alive->assign(rows, 1);
 
   auto session = model->StartSession(rows);
+  std::vector<size_t> src_rows;  // relayout map: new row -> old row
 
   size_t col = 0;
   while (!entries.empty()) {
@@ -76,7 +77,8 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
     // frontier node's segment ends at this column. Terminal queries
     // reduce, children fork with copies of the block and the RNG stream.
     // Row position never enters per-row arithmetic, so relayout is
-    // invisible to the estimates. ---
+    // invisible to the estimates; the session rearranges its per-row walk
+    // state by the same row map and keeps walking in order. ---
     bool boundary = false;
     size_t out_count = 0;
     for (const FrontierEntry& e : entries) {
@@ -92,6 +94,7 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
       spare_samples->Resize(out_count * rows, n);
       spare_weights->resize(out_count * rows);
       spare_alive->resize(out_count * rows);
+      src_rows.resize(out_count * rows);
       std::vector<FrontierEntry> next;
       next.reserve(out_count);
       for (size_t i = 0; i < entries.size(); ++i) {
@@ -109,6 +112,7 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
           std::copy(alive->begin() + static_cast<ptrdiff_t>(src),
                     alive->begin() + static_cast<ptrdiff_t>(src + rows),
                     spare_alive->begin() + static_cast<ptrdiff_t>(dst * rows));
+          for (size_t r = 0; r < rows; ++r) src_rows[dst * rows + r] = src + r;
         };
         if (node.end != col) {
           copy_block_to(next.size());
@@ -142,10 +146,7 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
       std::swap(alive, spare_alive);
       entries = std::move(next);
       if (entries.empty()) return;  // every branch retired
-      // The rows no longer continue the session's walk (even when the row
-      // count is unchanged, e.g. one branch retired while another forked):
-      // the next Dist recomputes from the prefix, then resumes in order.
-      session->ResetWalk();
+      session->Relayout(src_rows);
     }
 
     if (TreeExpired(tree, abandoned)) return;
@@ -179,7 +180,6 @@ void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
                          std::vector<double>* estimates,
                          std::vector<double>* std_errors,
                          std::vector<Status>* statuses) {
-  NARU_CHECK(model->SupportsStackedEvaluation());
   NARU_CHECK(options.num_samples >= 1);
   NARU_CHECK(options.shard_size >= 1);
   const size_t m = plan.queries.size();

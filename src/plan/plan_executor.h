@@ -16,11 +16,13 @@
 //      weight sums from the node's block (their walk is complete), and
 //      each child forks off with a private copy of the block and of the
 //      post-segment RNG state. Deeper shared segments then continue —
-//      multi-depth sharing, not the single prefix+fork of the flat plans.
+//      multi-depth sharing. The session is told the new row layout
+//      (SamplingSession::Relayout: new row i continues old row src[i]), so
+//      stateful sessions keep walking in order.
 //   3. At every column, ONE stacked model evaluation covers every live
-//      branch (the cross-query GEMM fusion; requires
-//      ConditionalModel::SupportsStackedEvaluation), then each branch's
-//      block runs the shared SamplerColumnStep kernel with its own RNG.
+//      branch (the cross-query GEMM fusion; sessions are row-independent,
+//      see conditional_model.h), then each branch's block runs the shared
+//      SamplerColumnStep kernel with its own RNG.
 //
 // Determinism: per member query, the draws consumed and the arithmetic
 // applied are those of ProgressiveSampler's sequential shard walk — forks
@@ -65,8 +67,7 @@ struct PlanExecutionOptions {
 /// selectivity estimate for plan.queries[i] — bit-identical to
 /// ProgressiveSampler::EstimateWithStdError under the same
 /// (num_samples, shard_size, seed). `std_errors` (optional) receives the
-/// matching Monte Carlo standard errors. Requires
-/// model->SupportsStackedEvaluation().
+/// matching Monte Carlo standard errors. Serves every ConditionalModel.
 ///
 /// Mid-walk abandonment: a tree whose abandon_deadline (the latest
 /// member deadline) has passed is given up BETWEEN column steps — never

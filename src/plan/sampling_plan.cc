@@ -1,7 +1,6 @@
 #include "plan/sampling_plan.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -169,131 +168,14 @@ class TreeCompiler {
     }
   }
 
-  /// Hierarchical mode: recursively cut the budget class into clusters of
-  /// at most `cap_` queries (splitting at trie fork points, greedily
-  /// re-packing small sibling clusters so stacked GEMMs stay wide), then
-  /// build one trie per cluster.
+  /// Recursively cuts the budget class into clusters of at most `cap_`
+  /// queries (splitting at trie fork points, greedily re-packing small
+  /// sibling clusters so stacked GEMMs stay wide), then builds one trie
+  /// per cluster.
   void EmitTreeClass(const std::vector<size_t>& indices) {
     for (const std::vector<size_t>& cluster : SplitCluster(indices, 0)) {
       EmitTrie(cluster);
     }
-  }
-
-  /// Flat mode: PR 3 groups expressed as depth-1 trees (root = the shared
-  /// leading-wildcard prefix, one leaf per member).
-  void EmitFlatClass(const std::vector<size_t>& indices) {
-    for (const auto& [prefix_len, members] : FlatGroups(indices)) {
-      PlanTree tree;
-      tree.members = members;
-      PlanTreeNode root;
-      root.begin = 0;
-      root.end = prefix_len;
-      root.rep = members.front();
-      if (members.size() == 1) {
-        root.end = static_cast<size_t>(plan_->queries[members[0]].last_col) + 1;
-        root.terminals = members;
-        tree.nodes.push_back(std::move(root));
-      } else {
-        tree.nodes.push_back(root);
-        for (size_t m : members) {
-          PlanTreeNode leaf;
-          leaf.begin = prefix_len;
-          leaf.end = static_cast<size_t>(plan_->queries[m].last_col) + 1;
-          leaf.rep = m;
-          leaf.terminals = {m};
-          tree.nodes[0].children.push_back(tree.nodes.size());
-          tree.nodes.push_back(std::move(leaf));
-        }
-      }
-      FinishTree(std::move(tree));
-    }
-  }
-
-  /// The PR 3 savings-maximizing DP over leading-wildcard runs, width-cap
-  /// splitting included: returns (prefix_len, members) groups with
-  /// members ordered by last_col descending. Also the flat baseline the
-  /// FlatSharedColumns() stat is computed from.
-  std::vector<std::pair<size_t, std::vector<size_t>>> FlatGroups(
-      const std::vector<size_t>& indices) const {
-    const std::vector<QueryPlan>& queries = plan_->queries;
-    const size_t mc = indices.size();
-    // Sort by leading-run length descending (stable on batch order) so any
-    // contiguous segment's shareable prefix is its LAST element's run.
-    std::vector<size_t> order = indices;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return queries[a].wildcard_run > queries[b].wildcard_run;
-    });
-
-    // Partition the sorted sequence into contiguous segments maximizing
-    // the prefix-sharing savings Σ run(last) · (len - 1); on equal
-    // savings, prefer fewer segments (wider stacked GEMMs). best[j] =
-    // optimum for the first j queries.
-    struct Best {
-      size_t savings = 0;
-      size_t segments = 0;
-      size_t cut = 0;  // segment start for the partition ending at j
-    };
-    std::vector<Best> best(mc + 1);
-    for (size_t j = 1; j <= mc; ++j) {
-      best[j].savings = 0;
-      best[j].segments = mc + 1;
-      for (size_t i = 0; i < j; ++i) {  // segment [i, j)
-        const size_t run = queries[order[j - 1]].wildcard_run;
-        const size_t cand = best[i].savings + run * (j - 1 - i);
-        const size_t segs = best[i].segments + 1;
-        if (cand > best[j].savings ||
-            (cand == best[j].savings && segs < best[j].segments)) {
-          best[j].savings = cand;
-          best[j].segments = segs;
-          best[j].cut = i;
-        }
-      }
-    }
-
-    // Recover segments, then split any that exceed the width cap.
-    std::vector<std::pair<size_t, size_t>> segments;  // [begin, end)
-    for (size_t j = mc; j > 0; j = best[j].cut) {
-      segments.emplace_back(best[j].cut, j);
-    }
-    std::reverse(segments.begin(), segments.end());
-
-    std::vector<std::pair<size_t, std::vector<size_t>>> groups;
-    for (const auto& [seg_begin, seg_end] : segments) {
-      const size_t len = seg_end - seg_begin;
-      const size_t pieces = (len + cap_ - 1) / cap_;
-      // Even split: every piece keeps the segment's shared prefix.
-      const size_t base = len / pieces;
-      const size_t extra = len % pieces;
-      size_t at = seg_begin;
-      for (size_t p = 0; p < pieces; ++p) {
-        const size_t take = base + (p < extra ? 1 : 0);
-        std::vector<size_t> members(
-            order.begin() + static_cast<ptrdiff_t>(at),
-            order.begin() + static_cast<ptrdiff_t>(at + take));
-        at += take;
-        size_t prefix_len = queries[members.front()].wildcard_run;
-        for (size_t m : members) {
-          prefix_len = std::min(prefix_len, queries[m].wildcard_run);
-        }
-        // Tail blocks must be droppable by truncation once their queries
-        // pass their last constrained position.
-        std::stable_sort(members.begin(), members.end(),
-                         [&](size_t a, size_t b) {
-                           return queries[a].last_col > queries[b].last_col;
-                         });
-        groups.emplace_back(prefix_len, std::move(members));
-      }
-    }
-    return groups;
-  }
-
-  /// Flat baseline savings on this class (for FlatSharedColumns()).
-  size_t FlatSavings(const std::vector<size_t>& indices) const {
-    size_t saved = 0;
-    for (const auto& [prefix_len, members] : FlatGroups(indices)) {
-      if (members.size() > 1) saved += prefix_len * (members.size() - 1);
-    }
-    return saved;
   }
 
  private:
@@ -400,7 +282,6 @@ SamplingPlan CompileSamplingPlan(const ConditionalModel* model,
                                  const std::vector<const Query*>& queries,
                                  const SamplingPlanOptions& options) {
   SamplingPlan plan;
-  plan.mode = options.mode;
   plan.queries.reserve(queries.size());
   NARU_CHECK(options.budgets.empty() ||
              options.budgets.size() == queries.size());
@@ -417,9 +298,6 @@ SamplingPlan CompileSamplingPlan(const ConditionalModel* model,
     for (size_t pos = 0; pos < n; ++pos) {
       qp.wildcard[pos] = model->PositionIsWildcard(*q, pos) ? 1 : 0;
       if (!qp.wildcard[pos]) qp.last_col = static_cast<int>(pos);
-    }
-    while (qp.wildcard_run < n && qp.wildcard[qp.wildcard_run]) {
-      ++qp.wildcard_run;
     }
     NARU_CHECK(qp.last_col >= 0);  // plans carry sampled queries only
     plan.queries.push_back(std::move(qp));
@@ -444,12 +322,7 @@ SamplingPlan CompileSamplingPlan(const ConditionalModel* model,
     for (size_t qi = 0; qi < m; ++qi) {
       if (plan.queries[qi].num_samples == budget) class_indices.push_back(qi);
     }
-    plan.flat_shared_cols += compiler.FlatSavings(class_indices);
-    if (options.mode == PlanMode::kFlat) {
-      compiler.EmitFlatClass(class_indices);
-    } else {
-      compiler.EmitTreeClass(class_indices);
-    }
+    compiler.EmitTreeClass(class_indices);
   }
   return plan;
 }

@@ -32,10 +32,6 @@
 // which columns are walked once instead of per query — never what is
 // computed — so estimates are bit-identical to the sequential path for
 // any tree shape (the test oracle throughout src/plan).
-//
-// PlanMode::kFlat preserves the PR 3 single-level grouping (savings-
-// maximizing DP over leading-wildcard runs only, one fork per group) as a
-// degenerate tree shape, for ablations and as the conservative fallback.
 #pragma once
 
 #include <chrono>
@@ -58,8 +54,6 @@ struct QueryPlan {
   /// Last constrained model position (the trailing-wildcard early exit).
   /// Plans are compiled for sampled queries only, so this is >= 0.
   int last_col = -1;
-  /// Leading run of wildcard model positions (the flat-mode prefix).
-  size_t wildcard_run = 0;
   /// Wildcard flag per model position 0..num_columns-1.
   std::vector<uint8_t> wildcard;
   /// Per-request sample-path budget (serve/request.h); 0 = the executor's
@@ -120,46 +114,24 @@ struct PlanTree {
   size_t max_fanout = 1;
 };
 
-/// How CompileSamplingPlan shapes its trees.
-enum class PlanMode {
-  /// Hierarchical prefix-forking trie: multi-depth sharing over wildcard
-  /// AND identically-constrained leading columns. The default.
-  kTree,
-  /// PR 3 flat grouping: one shared leading-wildcard prefix per group,
-  /// one fork, members stacked until they finish. Kept for the
-  /// legacy/flat/tree ablation in bench_serving_throughput.
-  kFlat,
-};
-
 struct SamplingPlan {
   std::vector<QueryPlan> queries;
   std::vector<PlanTree> trees;
-  PlanMode mode = PlanMode::kTree;
 
   /// Per-shard column-walks the sequential path would run: Σ (last_col+1).
   size_t WalkColumns() const;
   /// Per-shard column-walks saved by segment sharing:
-  /// Σ_nodes (end - begin) · (queries under node - 1). In kFlat mode this
-  /// reduces to the PR 3 quantity Σ_groups prefix_len · (members - 1).
+  /// Σ_nodes (end - begin) · (queries under node - 1).
   size_t SharedColumns() const;
-  /// Column-walks the FLAT single-level leading-wildcard grouping would
-  /// have saved on the same batch (computed by the compiler in both
-  /// modes); SharedColumns() - FlatSharedColumns() is the headroom the
-  /// hierarchical / constrained sharing added.
-  size_t FlatSharedColumns() const { return flat_shared_cols; }
   /// SharedColumns / WalkColumns in [0, 1).
   double PrefixShareRatio() const;
   /// Max PlanTree::fork_depth over trees (0 when empty).
   size_t MaxForkDepth() const;
   /// Max PlanTree::max_fanout over trees (1 when empty).
   size_t MaxFanout() const;
-
-  size_t flat_shared_cols = 0;  ///< see FlatSharedColumns()
 };
 
 struct SamplingPlanOptions {
-  /// Tree shape: hierarchical trie (default) or flat PR 3 grouping.
-  PlanMode mode = PlanMode::kTree;
   /// Fork fan-out cap: upper bound on queries fused into one tree. Bounds
   /// stacked-walk memory (width · shard_size rows of model activations)
   /// and yields more (tree, shard) tasks for the executor to spread

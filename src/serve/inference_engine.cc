@@ -43,11 +43,10 @@ std::string MemoPrefix(const NaruEstimatorConfig& cfg, size_t eff_samples) {
   // streams, so two estimators differing only in it produce different
   // sampled estimates. The kernel is part of the key because simd /
   // simd_int8 estimates are not bit-identical to scalar ones.
-  return StrFormat("%zu|%zu|%llu|%zu|%d|%d|", eff_samples,
+  return StrFormat("%zu|%zu|%llu|%zu|%d|", eff_samples,
                    cfg.enumeration_threshold,
                    static_cast<unsigned long long>(cfg.sampler_seed),
-                   cfg.shard_size, cfg.uniform_region ? 1 : 0,
-                   static_cast<int>(cfg.kernel));
+                   cfg.shard_size, static_cast<int>(cfg.kernel));
 }
 
 double ElapsedMs(std::chrono::steady_clock::time_point since) {
@@ -130,13 +129,8 @@ std::string FormatEngineStats(const EngineStats& stats) {
                                   static_cast<double>(stats.plan_trees),
       stats.prefix_share_ratio(), stats.plan_shared_cols,
       stats.plan_walk_cols);
-  out += StrFormat(
-      "# plan trees: max fork depth %zu, max fanout %zu, shared cols %zu "
-      "vs %zu flat-equivalent (+%zu from multi-depth/constrained sharing)\n",
-      stats.plan_max_depth, stats.plan_max_fanout, stats.plan_shared_cols,
-      stats.plan_flat_shared_cols,
-      stats.plan_shared_cols -
-          std::min(stats.plan_flat_shared_cols, stats.plan_shared_cols));
+  out += StrFormat("# plan trees: max fork depth %zu, max fanout %zu\n",
+                   stats.plan_max_depth, stats.plan_max_fanout);
   out += StrFormat("# workspaces created: %zu\n", stats.workspaces_created);
   if (stats.shed_expired_victims > 0) {
     out += StrFormat(
@@ -247,7 +241,6 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   // A caller-established serial region wins over the engine's own thread
   // configuration — the same coarser-grain-wins rule the sampler follows.
   ThreadPool* p = ScopedSerialRegion::Active() ? nullptr : pool();
-  const bool concurrent = est->model()->SupportsConcurrentSampling();
 
   // ONE keyed pass over the batch: each request's full memo key — the
   // config/budget prefix plus the canonical query bytes — is built
@@ -259,11 +252,10 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   // never coalesce and never share memo entries.
   //
   // Coalescing duplicates up front matters because k copies of one
-  // uncached query would otherwise cost k full walks (k workers all miss
-  // the memo before any finishes) — on exactly the repeated-template
-  // traces the engine serves. Coalescing is exact (identical queries get
-  // the one deterministic result), so it stays on even when caching is
-  // disabled.
+  // uncached query would otherwise cost k memo misses and k plan members —
+  // on exactly the repeated-template traces the engine serves. Coalescing
+  // is exact (identical queries get the one deterministic result), so it
+  // stays on even when caching is disabled.
   // Requests coalesce only when key AND cache policy agree: the
   // representative's policy governs the computation's cache interaction,
   // so folding a kBypass request onto a kReadWrite twin (or vice versa)
@@ -324,77 +316,38 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   }
   const size_t m = reps.size();
 
-  // The distinct-request compute. The representative's cache policy
-  // governs the computation; duplicates only copy its result.
+  // The distinct-request compute: resolve every distinct request through
+  // the exact fast paths (memo, empty, enumeration, wildcard exits,
+  // leading-only), then compile the sampled remainder into ONE
+  // SamplingPlan for the whole batch — queries grouped by shared prefix
+  // WITHIN each budget class, one walk per (shard, shared segment),
+  // per-column forward passes fused into stacked GEMMs. The
+  // representative's cache policy governs the computation; duplicates
+  // only copy its result.
   const auto run_reps = [&] {
-    // Planned route: resolve every distinct request through the exact
-    // fast paths (memo, empty, enumeration, wildcard exits,
-    // leading-only), then compile the sampled remainder into ONE
-    // SamplingPlan for the whole batch — queries grouped by shared
-    // leading-wildcard prefix WITHIN each budget class, one prefix walk
-    // per (shard, group), per-column forward passes fused into stacked
-    // GEMMs. Requires pure stackable sessions; the uniform-region
-    // strawman takes none of the walk structure the plan exploits.
-    if (cfg_.enable_plan && est->model()->SupportsStackedEvaluation() &&
-        !est->sampler()->config().uniform_region) {
-      std::vector<SampledRep> sampled;
-      for (size_t k = 0; k < m; ++k) {
-        const size_t i = reps[k];
-        // Phase attribution: a rep resolved here (cache hit, shortcut,
-        // enumeration) is charged ONLY its own resolution time — never
-        // the batch's sampling segment. That is the headline fix: a
-        // cache hit used to report the whole batch's walk time.
-        const auto resolve_start = std::chrono::steady_clock::now();
-        if (ResolveBeforeSampling(est, requests[i].query, keys[i],
-                                  requests[i].options.cache_policy,
-                                  rep_deadline[i], &(*out)[i])) {
-          (*out)[i].compute_ms = ElapsedMs(resolve_start);
-        } else {
-          SampledRep rep;
-          rep.index = i;
-          rep.memo_key = keys[i];
-          rep.budget = eff[i];
-          rep.policy = requests[i].options.cache_policy;
-          rep.deadline = rep_deadline[i];
-          rep.resolve_ms = ElapsedMs(resolve_start);
-          sampled.push_back(std::move(rep));
-        }
-      }
-      EstimatePlanned(est, requests, sampled, p, out);
-      return;
-    }
-
-    // Legacy route (models without stackable sessions, uniform-region, or
-    // enable_plan off): the schedule is chosen on the COALESCED width — a
-    // batch of 64 requests over 2 distinct templates is 2 queries' worth
-    // of work and should shard each walk across the pool, not park it on
-    // 2 of N workers.
-    if (p != nullptr && concurrent && m >= p->num_threads() && m > 1) {
-      // Wide batches: one distinct query per worker, sampler serial
-      // within a query. Queries are independent and every cached value is
-      // exact, so the schedule cannot affect results.
-      p->ParallelFor(
-          0, m,
-          [&](size_t lo, size_t hi) {
-            ScopedSerialRegion serial;
-            for (size_t k = lo; k < hi; ++k) {
-              const size_t i = reps[k];
-              EstimateOne(est, requests[i].query, keys[i], eff[i],
-                          requests[i].options.cache_policy, rep_deadline[i],
-                          /*sampler_parallelism=*/1,
-                          /*sampler_pool=*/nullptr, &(*out)[i]);
-            }
-          },
-          /*min_chunk=*/1);
-    } else {
-      for (size_t k = 0; k < m; ++k) {
-        const size_t i = reps[k];
-        EstimateOne(est, requests[i].query, keys[i], eff[i],
-                    requests[i].options.cache_policy, rep_deadline[i],
-                    /*sampler_parallelism=*/p == nullptr ? 1 : 0,
-                    /*sampler_pool=*/p, &(*out)[i]);
+    std::vector<SampledRep> sampled;
+    for (size_t k = 0; k < m; ++k) {
+      const size_t i = reps[k];
+      // Phase attribution: a rep resolved here (cache hit, shortcut,
+      // enumeration) is charged ONLY its own resolution time — never the
+      // batch's sampling segment.
+      const auto resolve_start = std::chrono::steady_clock::now();
+      if (ResolveBeforeSampling(est, requests[i].query, keys[i],
+                                requests[i].options.cache_policy,
+                                rep_deadline[i], &(*out)[i])) {
+        (*out)[i].compute_ms = ElapsedMs(resolve_start);
+      } else {
+        SampledRep rep;
+        rep.index = i;
+        rep.memo_key = keys[i];
+        rep.budget = eff[i];
+        rep.policy = requests[i].options.cache_policy;
+        rep.deadline = rep_deadline[i];
+        rep.resolve_ms = ElapsedMs(resolve_start);
+        sampled.push_back(std::move(rep));
       }
     }
+    EstimatePlanned(est, requests, sampled, p, out);
   };
   if (p == nullptr) {
     // Strictly serial: one serial region over the whole batch keeps every
@@ -570,58 +523,6 @@ bool InferenceEngine::ResolveBeforeSampling(
   return true;
 }
 
-void InferenceEngine::EstimateOne(NaruEstimator* est, const Query& query,
-                                  const std::string& memo_key,
-                                  size_t eff_samples, CachePolicy cache_policy,
-                                  std::chrono::steady_clock::time_point deadline,
-                                  size_t sampler_parallelism,
-                                  ThreadPool* sampler_pool,
-                                  EstimateResult* result) {
-  // Per-request attribution: this call's own wall time is the request's
-  // compute_ms — a memo hit reports its lookup, a walk its sampling.
-  const auto start = std::chrono::steady_clock::now();
-  if (ResolveBeforeSampling(est, query, memo_key, cache_policy, deadline,
-                            result)) {
-    result->compute_ms = ElapsedMs(start);
-    return;
-  }
-
-  ProgressiveSampler::RunOptions options;
-  options.parallelism = sampler_parallelism;
-  options.thread_pool = sampler_pool;
-  options.workspaces = &workspaces_;
-  options.num_samples = eff_samples;
-  // Mid-walk abandonment: the sampler re-checks `deadline` between
-  // column steps. It is the latest deadline over every request coalesced
-  // into this computation, so abandonment means every one of them had
-  // expired.
-  bool abandoned = false;
-  options.deadline = deadline;
-  options.abandoned = &abandoned;
-  result->estimate =
-      est->sampler()->EstimateWithOptions(query, &result->std_error, options);
-  if (abandoned) {
-    result->estimate = std::numeric_limits<double>::quiet_NaN();
-    result->std_error = 0.0;
-    result->status = Status::DeadlineExceeded("deadline expired mid-walk");
-    result->provenance = ResultProvenance::kShed;
-    result->samples_used = 0;
-    result->compute_ms = ElapsedMs(start);  // the burn before abandoning
-    MutexLock lock(&mu_);
-    ++stats_.shed_midwalk;  // never memoized: there is no value to store
-    return;
-  }
-  result->provenance = ResultProvenance::kSampled;
-  result->samples_used = eff_samples;
-  result->compute_ms = ElapsedMs(start);
-  MutexLock lock(&mu_);
-  ++stats_.sampled;
-  if (cfg_.enable_cache && cache_policy == CachePolicy::kReadWrite) {
-    stats_.memo_evictions += caches_[est->model()].result_memo.Insert(
-        memo_key, result->estimate, cfg_.cache_budget_bytes);
-  }
-}
-
 void InferenceEngine::EstimatePlanned(
     NaruEstimator* est, const std::vector<EstimateRequest>& requests,
     const std::vector<SampledRep>& reps, ThreadPool* pool,
@@ -636,7 +537,6 @@ void InferenceEngine::EstimatePlanned(
 
   const ProgressiveSamplerConfig& scfg = est->sampler()->config();
   SamplingPlanOptions plan_opts;
-  plan_opts.mode = cfg_.plan_mode;
   // Fork fan-out cap: pinned by config, or auto-tuned so stacked GEMM
   // shapes suit the model's hidden width, the active kernel, and the
   // shard size. Execution-only — the cap can never change an estimate.
@@ -696,7 +596,6 @@ void InferenceEngine::EstimatePlanned(
   ++stats_.plan_batches;
   stats_.plan_trees += plan.trees.size();
   stats_.plan_shared_cols += plan.SharedColumns();
-  stats_.plan_flat_shared_cols += plan.FlatSharedColumns();
   stats_.plan_walk_cols += plan.WalkColumns();
   stats_.plan_max_depth = std::max(stats_.plan_max_depth, plan.MaxForkDepth());
   stats_.plan_max_fanout = std::max(stats_.plan_max_fanout, plan.MaxFanout());

@@ -2,9 +2,10 @@
 //
 // The sequential path (NaruEstimator::EstimateSelectivity) answers one
 // query at a time; this engine serves *batches*: queries against the same
-// ConditionalModel share one SamplerWorkspace pool, exact-result caches,
-// and a thread pool that either spreads whole queries across workers (large
-// batches) or shards one query's sample paths (small batches). Everything
+// ConditionalModel share one SamplerWorkspace pool and exact-result caches,
+// and every batch's sampled queries compile into one SamplingPlan
+// (src/plan) whose (tree, shard) tasks spread across a thread pool. Every
+// model walks through that plan executor. Everything
 // the engine caches is exact and deterministic — empty regions, trailing-
 // wildcard early exits, masked first-column marginal masses keyed on the
 // masked region, and full-query memo entries — so for a fixed sampler seed
@@ -63,27 +64,12 @@ struct InferenceEngineConfig {
   /// never change an estimate — a re-asked query recomputes to the
   /// bit-identical value through the deterministic sampler.
   size_t cache_budget_bytes = 4 * 1024 * 1024;
-  /// Compile each batch's sampled queries into a SamplingPlan (src/plan):
-  /// queries compiled into prefix-forking plan trees, one walk per shared
-  /// segment per shard, per-column model evaluations fused into stacked
-  /// GEMMs across the tree's frontier. Only taken for models whose
-  /// sessions support stacked evaluation (MADE, the transformer, and
-  /// wrappers); estimates are bit-identical either way, so this is purely
-  /// an execution strategy switch (kept as a flag for A/B benchmarking).
-  bool enable_plan = true;
-  /// Plan tree shape (plan/sampling_plan.h): hierarchical prefix-forking
-  /// tries with constrained-prefix sharing (default), or the flat PR 3
-  /// single-level leading-wildcard grouping (the legacy/flat/tree
-  /// ablation in bench_serving_throughput). Execution strategy only —
-  /// estimates are bit-identical in either mode, which is why memo keys
-  /// do NOT include it (a result cached under one mode is exactly the
-  /// other mode's answer).
-  PlanMode plan_mode = PlanMode::kTree;
   /// Fork fan-out cap per plan tree: 0 = auto-tuned per batch from the
   /// model's StackedWidthHint, its active inference kernel, and the
   /// sampler's shard size (AutoGroupWidth, plan/sampling_plan.h); a
   /// nonzero N pins the cap (`--group-width auto|N` in the serving
-  /// benches). Execution-only, like plan_mode: never part of memo keys.
+  /// benches). Execution-only: tree shape never changes an estimate, so
+  /// it is never part of memo keys.
   size_t group_width = 0;
 };
 
@@ -131,13 +117,8 @@ struct EngineStats {
   size_t plan_trees = 0;         ///< plan trees compiled (GEMM-fusion units)
   size_t plan_shared_cols = 0;   ///< per-shard column walks saved by sharing
   size_t plan_walk_cols = 0;     ///< column walks the sequential path runs
-  /// Column walks the flat PR 3 single-level wildcard grouping would have
-  /// saved on the same batches (the compiler computes both);
-  /// plan_shared_cols - plan_flat_shared_cols is what multi-depth forking
-  /// and constrained-prefix sharing added on top.
-  size_t plan_flat_shared_cols = 0;
   /// Deepest fork nesting over all compiled trees (0 = no forks: every
-  /// tree was a single chain; 1 = the flat one-fork shape).
+  /// tree was a single chain; 1 = one fork on every path).
   size_t plan_max_depth = 0;
   /// Widest single fork (children at one node) over all compiled trees.
   size_t plan_max_fanout = 0;
@@ -198,10 +179,6 @@ struct EngineStats {
 /// Multi-line human-readable rendering of the counters (what `naru_cli
 /// serve` prints on exit and on SIGINT).
 std::string FormatEngineStats(const EngineStats& stats);
-
-/// Pre-LRU name for the stats struct, kept as an alias for existing
-/// callers.
-using InferenceEngineStats = EngineStats;
 
 /// The blocking batch-serving engine. Thread-safe with respect to its own
 /// state; see EstimateBatch for the per-model concurrency contract.
@@ -275,44 +252,25 @@ class InferenceEngine {
     LruResultCache leading_mass;
   };
 
-  /// One query, mirroring NaruEstimator::EstimateSelectivity exactly:
-  /// empty region, enumeration policy, trailing-wildcard exit, leading-only
-  /// marginal, then the sharded sampler with `sampler_parallelism` on
-  /// `sampler_pool` (nullptr = the sampler's configured pool).
-  /// `memo_key` is the batch-hoisted full cache key (config prefix +
-  /// canonical query bytes); `eff_samples` the request's effective sample
-  /// budget; `deadline` the computation's mid-walk abandonment instant
-  /// (the LATEST deadline over every request coalesced into it;
-  /// time_point::max() = never abandon). Fills *result (estimate, status,
-  /// std_error, provenance, samples_used, compute_ms — this call's own
-  /// wall time, the per-request attribution the whole-batch stamp used to
-  /// get wrong).
-  void EstimateOne(NaruEstimator* est, const Query& query,
-                   const std::string& memo_key, size_t eff_samples,
-                   CachePolicy cache_policy,
-                   std::chrono::steady_clock::time_point deadline,
-                   size_t sampler_parallelism, ThreadPool* sampler_pool,
-                   EstimateResult* result);
-
-  /// Every routing step of EstimateOne short of the sampled walk: memo
-  /// lookup, empty region, enumeration, trailing-wildcard exit,
+  /// Every routing step of NaruEstimator::Estimate short of the sampled
+  /// walk: memo lookup, empty region, enumeration, trailing-wildcard exit,
   /// leading-only marginal. Returns true with *result filled when the
   /// query resolved; false when it needs a progressive-sampling walk.
-  /// Shared by EstimateOne and the planned batch path so the routing
-  /// policy cannot diverge between them. `deadline` is the computation's
-  /// abandonment instant (max over coalesced duplicates): exact
-  /// enumeration re-checks it between LogProbRows batches and resolves to
-  /// a typed DEADLINE_EXCEEDED shed (counted in shed_midwalk, never
-  /// memoized) once it passes.
+  /// `memo_key` is the batch-hoisted full cache key (config prefix +
+  /// canonical query bytes). `deadline` is the computation's abandonment
+  /// instant (max over coalesced duplicates): exact enumeration re-checks
+  /// it between LogProbRows batches and resolves to a typed
+  /// DEADLINE_EXCEEDED shed (counted in shed_midwalk, never memoized)
+  /// once it passes.
   bool ResolveBeforeSampling(NaruEstimator* est, const Query& query,
                              const std::string& memo_key,
                              CachePolicy cache_policy,
                              std::chrono::steady_clock::time_point deadline,
                              EstimateResult* result);
 
-  /// One unresolved sampled representative headed for the planned batch
-  /// path: everything EstimatePlanned needs that EstimateBatch's keyed
-  /// pass already derived.
+  /// One unresolved sampled representative headed for the plan: everything
+  /// EstimatePlanned needs that EstimateBatch's keyed pass already
+  /// derived.
   struct SampledRep {
     size_t index = 0;        ///< representative's index into the batch
     std::string memo_key;    ///< full cache key (config prefix + bytes)

@@ -59,7 +59,7 @@ enum class ResultProvenance : uint8_t {
   kCacheHit,      ///< full-query memo hit (exact)
   kExact,         ///< exact shortcut: empty / all-wildcard / leading-only
   kEnumerated,    ///< exact enumeration of a small region
-  kSampled,       ///< per-query progressive-sampling walk
+  kSampled,       ///< sequential walk (NaruEstimator::Estimate)
   kPlannedGroup,  ///< sampled through a compiled SamplingPlan group
   /// Not answered: deadline expired before dispatch, the walk was
   /// abandoned mid-column after every sharer expired, or admission
@@ -187,11 +187,10 @@ struct EstimateResult {
   /// Milliseconds of compute attributed to THIS request, per phase: a
   /// request resolved in the keyed/exact pass (cache hit, shortcut,
   /// enumeration) is charged only its own resolution, and a sampled
-  /// request its walk — on the planned route the fused group segment's
-  /// elapsed time (shared work is batch-attributed), on the legacy route
-  /// its own EstimateOne call. A cache hit therefore always reports less
-  /// compute than a sampled walk; shed requests report the compute burned
-  /// before abandonment (0 when shed pre-dispatch).
+  /// request its resolution plus the fused plan segment's elapsed time
+  /// (shared work is batch-attributed). A cache hit therefore always
+  /// reports less compute than a sampled walk; shed requests report the
+  /// compute burned before abandonment (0 when shed pre-dispatch).
   double compute_ms = 0.0;
 
   bool ok() const { return status.ok(); }

@@ -92,6 +92,14 @@ void GatherColumns(const Matrix& in, const std::vector<size_t>& cols,
   }
 }
 
+void GatherRows(const Matrix& in, const std::vector<size_t>& rows,
+                Matrix* out) {
+  out->Resize(rows.size(), in.cols());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    std::copy(in.Row(rows[i]), in.Row(rows[i]) + in.cols(), out->Row(i));
+  }
+}
+
 double L2Norm(const Matrix& m) { return std::sqrt(m.SumSquares()); }
 
 }  // namespace naru

@@ -33,6 +33,10 @@ void Axpy(const Matrix& a, float scale, Matrix* c);
 void GatherColumns(const Matrix& in, const std::vector<size_t>& cols,
                    Matrix* out);
 
+/// out (rows.size() x cols) = rows rows[0], rows[1], ... of `in`.
+void GatherRows(const Matrix& in, const std::vector<size_t>& rows,
+                Matrix* out);
+
 /// Returns the global L2 norm sqrt(sum of squares) of the matrix.
 double L2Norm(const Matrix& m);
 

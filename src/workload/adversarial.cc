@@ -535,10 +535,12 @@ std::vector<AdversarialScenario> AdversarialScenarioMatrix() {
     matrix.push_back(std::move(s));
   }
   {  // Mid-walk abandonment: tight-but-live deadlines over walks made slow
-     // by a large per-request sample budget. The deadline is set on the
+     // by a large per-request sample budget. The deadline belongs on the
      // order of ONE micro-batch: long enough that tights arriving during
      // the in-flight batch are still live when the (tightest-first) cut
      // dispatches them, short enough that their own walk overruns it.
+     // Walk speed is a property of the host, so bench_adversarial replaces
+     // this 800 ms default with a micro-batch it times before the cell.
     AdversarialScenario s;
     s.name = "midwalk_deadlines";
     s.tight_deadline_fraction = 0.5;

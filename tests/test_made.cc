@@ -432,16 +432,45 @@ Query SessionQuery() {
       ValueSet::Interval(70, 20, 50), ValueSet::All(6)});
 }
 
+/// The relayout a plan executor might make before column `col` of a
+/// `rows`-row walk: new row i continues old row src[i]. Cycles through
+/// permuted rows at the same count, duplicated rows (the count doubles),
+/// dropped rows (the count halves), and duplicated plus dropped rows at
+/// the same count.
+std::vector<size_t> RelayoutMap(size_t rows, size_t col) {
+  std::vector<size_t> src;
+  switch (col % 4) {
+    case 1:  // permuted
+      for (size_t i = rows; i-- > 0;) src.push_back(i);
+      break;
+    case 2:  // every row forked in two
+      for (size_t i = 0; i < 2 * rows; ++i) src.push_back(i / 2);
+      break;
+    case 3:  // every other row retired
+      for (size_t i = 0; i < rows; i += 2) src.push_back(i);
+      break;
+    default:  // row 0 forked, the last row retired
+      src.push_back(0);
+      for (size_t i = 0; i + 1 < rows; ++i) src.push_back(i);
+      if (rows == 1) src.pop_back();
+      break;
+  }
+  return src;
+}
+
 /// Walks every column in order through one session and, at each step,
 /// checks the session's probabilities bitwise against the stateless
 /// `stateless(samples, col, &probs)` on the same samples. Between steps it
 /// writes column col the way a sampler does: a draw from the conditional
 /// for live rows, `fallback(col)` for dead rows (every third row once
 /// col >= 1). Columns not yet walked hold junk the model must ignore.
+/// With `relayout`, the rows are also rearranged before every column
+/// after the first (RelayoutMap) and the session is told through
+/// SamplingSession::Relayout.
 template <typename Stateless, typename Fallback>
 void ExpectSessionMatchesStateless(ConditionalModel* model, size_t rows,
                                    uint64_t seed, Stateless&& stateless,
-                                   Fallback&& fallback,
+                                   Fallback&& fallback, bool relayout,
                                    const std::string& label) {
   const size_t n = model->num_columns();
   Rng rng(seed);
@@ -455,10 +484,20 @@ void ExpectSessionMatchesStateless(ConditionalModel* model, size_t rows,
   auto session = model->StartSession(rows);
   Matrix got, want;
   for (size_t col = 0; col < n; ++col) {
+    if (relayout && col >= 1) {
+      const std::vector<size_t> src = RelayoutMap(samples.rows(), col);
+      IntMatrix moved(src.size(), n);
+      for (size_t i = 0; i < src.size(); ++i) {
+        std::memcpy(moved.Row(i), samples.Row(src[i]), n * sizeof(int32_t));
+      }
+      samples = std::move(moved);
+      session->Relayout(src);
+    }
     session->Dist(samples, col, &got);
     stateless(samples, col, &want);
-    ASSERT_TRUE(BitEqual(got, want)) << label << " col " << col;
-    for (size_t r = 0; r < rows; ++r) {
+    ASSERT_TRUE(BitEqual(got, want))
+        << label << (relayout ? " relayout" : "") << " col " << col;
+    for (size_t r = 0; r < samples.rows(); ++r) {
       const bool dead = col >= 1 && r % 3 == 0;
       samples.At(r, col) =
           dead ? fallback(col)
@@ -472,13 +511,15 @@ void ExpectMadeSessionMatches(MadeModel* model, const std::string& label) {
   const Query query = SessionQuery();
   MadeModel::EvalContext ctx;
   for (const size_t rows : {size_t{1}, size_t{5}, size_t{128}}) {
-    ExpectSessionMatchesStateless(
-        model, rows, 100 + rows,
-        [&](const IntMatrix& s, size_t col, Matrix* p) {
-          model->ConditionalDistWith(&ctx, s, col, p);
-        },
-        [&](size_t col) { return model->FallbackCode(query, col); },
-        label + " rows " + std::to_string(rows));
+    for (const bool relayout : {false, true}) {
+      ExpectSessionMatchesStateless(
+          model, rows, 100 + rows,
+          [&](const IntMatrix& s, size_t col, Matrix* p) {
+            model->ConditionalDistWith(&ctx, s, col, p);
+          },
+          [&](size_t col) { return model->FallbackCode(query, col); },
+          relayout, label + " rows " + std::to_string(rows));
+    }
   }
 }
 
@@ -554,7 +595,7 @@ TEST(MadeSession, TrainedWeightsBitIdenticalToStateless) {
   }
 }
 
-TEST(MadeSession, ResumesAfterJumpAndReset) {
+TEST(MadeSession, ResumesAfterJumpAndRelayout) {
   MadeModel::Config cfg;
   cfg.hidden_sizes = {32, 32};
   cfg.encoder.onehot_threshold = 8;
@@ -572,13 +613,23 @@ TEST(MadeSession, ResumesAfterJumpAndReset) {
   Matrix got, want;
   auto session = model.StartSession(7);
   // A first call mid-walk, then in-order steps.
-  for (size_t col = 2; col < n; ++col) {
+  for (size_t col = 2; col + 1 < n; ++col) {
     session->Dist(a, col, &got);
     model.ConditionalDistWith(&ctx, a, col, &want);
     EXPECT_TRUE(BitEqual(got, want)) << "walk a col " << col;
   }
-  // Same row count, different rows: the caller announces the relayout.
-  session->ResetWalk();
+  // Same row count, rows rearranged: the caller announces the relayout,
+  // and the walk continues in order on the rearranged rows.
+  const std::vector<size_t> src = {6, 0, 0, 3, 5, 1, 2};
+  IntMatrix moved(7, n);
+  for (size_t i = 0; i < src.size(); ++i) {
+    std::memcpy(moved.Row(i), a.Row(src[i]), n * sizeof(int32_t));
+  }
+  session->Relayout(src);
+  session->Dist(moved, n - 1, &got);
+  model.ConditionalDistWith(&ctx, moved, n - 1, &want);
+  EXPECT_TRUE(BitEqual(got, want)) << "after relayout";
+  // Unrelated rows at a column the walk has not reached: the full trunk.
   for (size_t col = 3; col < n; ++col) {
     session->Dist(b, col, &got);
     model.ConditionalDistWith(&ctx, b, col, &want);
@@ -618,14 +669,17 @@ TEST(MadeSession, WrappersBitIdenticalToStateless) {
          {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
       model->SetInferenceKernel(kernel);
       for (const size_t rows : {size_t{1}, size_t{5}, size_t{128}}) {
-        ExpectSessionMatchesStateless(
-            model, rows, 7 + rows,
-            [&](const IntMatrix& s, size_t col, Matrix* p) {
-              model->ConditionalDist(s, col, p);
-            },
-            [&](size_t col) { return model->FallbackCode(query, col); },
-            label + " " + KernelKindName(kernel) + " rows " +
-                std::to_string(rows));
+        for (const bool relayout : {false, true}) {
+          ExpectSessionMatchesStateless(
+              model, rows, 7 + rows,
+              [&](const IntMatrix& s, size_t col, Matrix* p) {
+                model->ConditionalDist(s, col, p);
+              },
+              [&](size_t col) { return model->FallbackCode(query, col); },
+              relayout,
+              label + " " + KernelKindName(kernel) + " rows " +
+                  std::to_string(rows));
+        }
       }
     }
   }

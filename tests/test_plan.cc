@@ -1,9 +1,9 @@
 // Tests for the sampling-plan layer (src/plan): plan compilation (prefix
 // tries with multi-depth forking, constrained-prefix sharing, width
-// capping, the flat PR 3 mode) and plan execution (shared segment walks,
-// forked suffix walks, stacked GEMMs). The oracle throughout is
-// bit-identity with the sequential ProgressiveSampler for a fixed seed —
-// across shard sizes, tree shapes, kernels, and thread counts.
+// capping) and plan execution (shared segment walks, forked suffix walks,
+// stacked GEMMs, relayouts of stateful sessions). The oracle throughout
+// is bit-identity with the sequential ProgressiveSampler for a fixed seed
+// — across shard sizes, tree shapes, kernels, thread counts and models.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,13 +11,17 @@
 #include <vector>
 
 #include "core/made.h"
+#include "core/naru_estimator.h"
 #include "core/oracle_model.h"
+#include "core/percolumn.h"
 #include "core/trainer.h"
 #include "core/transformer.h"
 #include "data/datasets.h"
+#include "estimator/bayesnet.h"
 #include "plan/plan_executor.h"
 #include "plan/sampling_plan.h"
 #include "query/workload.h"
+#include "serve/inference_engine.h"
 #include "tensor/kernel.h"
 
 namespace naru {
@@ -92,50 +96,6 @@ TEST(Query, WildcardMaskAndLeadingRun) {
             2u);
 }
 
-TEST(SamplingPlan, FlatModeGroupsByLeadingWildcardRun) {
-  Table t = PlanTable(5);
-  auto model = PlanModel(t, 5);
-  // Runs: 3, 3, 0, 2, 2 — the PR 3 savings-maximizing partition merges all
-  // four wildcard-led queries into ONE group at prefix 2 (savings 2·3 = 6,
-  // beating {3,3}+{2,2} = 5) and isolates the run-0 query. In kFlat mode
-  // each group is a depth-1 tree: a [0, prefix) root plus one leaf per
-  // member.
-  const std::vector<Query> queries = {
-      QueryOn(t, {3, 4}), QueryOn(t, {3, 5}), QueryOn(t, {0, 2}),
-      QueryOn(t, {2, 3}), QueryOn(t, {2, 5})};
-  std::vector<const Query*> ptrs;
-  for (const auto& q : queries) ptrs.push_back(&q);
-
-  SamplingPlanOptions opts;
-  opts.mode = PlanMode::kFlat;
-  const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs, opts);
-  ASSERT_EQ(plan.queries.size(), 5u);
-  EXPECT_EQ(plan.queries[0].wildcard_run, 3u);
-  EXPECT_EQ(plan.queries[2].wildcard_run, 0u);
-  EXPECT_EQ(plan.queries[3].wildcard_run, 2u);
-  EXPECT_EQ(plan.queries[0].last_col, 4);
-
-  ASSERT_EQ(plan.trees.size(), 2u);
-  EXPECT_EQ(plan.SharedColumns(), 6u);  // prefix 2 shared by 4 queries
-  EXPECT_EQ(plan.FlatSharedColumns(), 6u);  // flat mode IS the flat bound
-  size_t grouped = 0;
-  for (const auto& tree : plan.trees) {
-    grouped += tree.members.size();
-    EXPECT_LE(tree.fork_depth, 1u);  // flat trees fork at most once
-    if (tree.members.size() > 1) {
-      // The shared root never exceeds any member's wildcard run.
-      const PlanTreeNode& root = tree.nodes[0];
-      for (size_t m : tree.members) {
-        EXPECT_LE(root.end, plan.queries[m].wildcard_run);
-      }
-      EXPECT_EQ(root.end, 2u);
-      EXPECT_EQ(tree.max_fanout, tree.members.size());
-    }
-  }
-  EXPECT_EQ(grouped, 5u);
-  EXPECT_GT(plan.PrefixShareRatio(), 0.0);
-}
-
 // Hand-checked trie construction: multi-depth forking plus constrained-
 // prefix sharing. Queries (constrained columns, Interval [1,2] each):
 //   q0 {3,4}  q1 {3,5}  q2 {0,2}  q3 {2,3}  q4 {2,5}
@@ -146,7 +106,6 @@ TEST(SamplingPlan, FlatModeGroupsByLeadingWildcardRun) {
 // wildcard. q0/q1 then share [2,4) — column 3 constrained the same way —
 // and fork at column 4. Savings, per shard:
 //   [0,2)·(4-1) = 6,  [2,4)·(2-1) = 2,  q3/q4 [2,3)·(2-1) = 1   → 9
-// versus the flat single-level bound of 6 (one group of four at prefix 2).
 TEST(SamplingPlan, TrieSharesMultiDepthAndConstrainedPrefixes) {
   Table t = PlanTable(5);
   auto model = PlanModel(t, 5);
@@ -162,7 +121,6 @@ TEST(SamplingPlan, TrieSharesMultiDepthAndConstrainedPrefixes) {
   EXPECT_EQ(tree.members.size(), 5u);
   EXPECT_EQ(plan.WalkColumns(), 24u);    // 5 + 6 + 3 + 4 + 6
   EXPECT_EQ(plan.SharedColumns(), 9u);   // hand-checked above
-  EXPECT_EQ(plan.FlatSharedColumns(), 6u);
   EXPECT_EQ(plan.MaxForkDepth(), 3u);  // root -> [0,2) -> [2,4) -> leaves
   EXPECT_EQ(plan.MaxFanout(), 2u);
 
@@ -180,29 +138,6 @@ TEST(SamplingPlan, TrieSharesMultiDepthAndConstrainedPrefixes) {
     }
   }
   EXPECT_EQ(seen.size(), 5u);
-}
-
-TEST(SamplingPlan, GroupWidthCapSplitsFlatGroupsEvenly) {
-  Table t = PlanTable(7);
-  auto model = PlanModel(t, 7);
-  std::vector<Query> queries;
-  for (size_t i = 0; i < 10; ++i) queries.push_back(QueryOn(t, {2, 3 + i % 3}));
-  std::vector<const Query*> ptrs;
-  for (const auto& q : queries) ptrs.push_back(&q);
-
-  SamplingPlanOptions opts;
-  opts.mode = PlanMode::kFlat;
-  opts.max_group_width = 4;
-  const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs, opts);
-  size_t grouped = 0;
-  for (const auto& tree : plan.trees) {
-    EXPECT_LE(tree.members.size(), 4u);
-    ASSERT_GE(tree.nodes.size(), 1u);
-    EXPECT_EQ(tree.nodes[0].end, 2u);  // every piece keeps the shared prefix
-    grouped += tree.members.size();
-  }
-  EXPECT_EQ(grouped, 10u);
-  EXPECT_EQ(plan.trees.size(), 3u);  // 10 into pieces of <= 4
 }
 
 TEST(SamplingPlan, TreeModeWidthCapSplitsAtForkPoints) {
@@ -289,7 +224,6 @@ TEST(SamplingPlan, MixedBudgetsNeverFuse) {
 TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
   Table t = PlanTable(9);
   auto model = PlanModel(t, 9);
-  ASSERT_TRUE(model->SupportsStackedEvaluation());
   const size_t n = model->num_columns();
 
   // Two unrelated walk states...
@@ -335,17 +269,17 @@ TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
   }
 }
 
-// The heart of the refactor: for randomized batches with mixed
+// The heart of the plan layer: for randomized batches with mixed
 // leading-wildcard runs AND shared constrained prefixes, planned execution
 // is bit-identical to the sequential per-query sampler — across shard
-// sizes, plan modes, tree shapes (the width cap changes fork depths and
-// fanouts), and thread counts (estimates AND standard errors).
+// sizes, tree shapes (the width cap changes fork depths and fanouts), and
+// thread counts (estimates AND standard errors).
 TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
   Table t = PlanTable(11);
   auto model = PlanModel(t, 11);
   std::vector<Query> queries = MixedRunBatch(t, 24, 3, 131);
   // Shared-constrained-prefix pairs: identical leading equality literals,
-  // diverging suffixes (the sharing flat plans cannot express).
+  // diverging suffixes.
   queries.push_back(QueryOn(t, {0, 1, 3}));
   queries.push_back(QueryOn(t, {0, 1, 4}));
   queries.push_back(QueryOn(t, {0, 1, 5}));
@@ -367,29 +301,24 @@ TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
       want_se.push_back(se);
     }
 
-    for (const PlanMode mode : {PlanMode::kTree, PlanMode::kFlat}) {
-      for (const size_t group_width : {size_t{1}, size_t{3}, size_t{32}}) {
-        SamplingPlanOptions popts;
-        popts.mode = mode;
-        popts.max_group_width = group_width;
-        const SamplingPlan plan =
-            CompileSamplingPlan(model.get(), ptrs, popts);
-        for (const size_t parallelism : {size_t{1}, size_t{0}}) {
-          PlanExecutionOptions opts;
-          opts.num_samples = 300;
-          opts.shard_size = shard_size;
-          opts.seed = 17;
-          opts.parallelism = parallelism;
-          std::vector<double> got, got_se;
-          ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
-          ASSERT_EQ(got.size(), queries.size());
-          for (size_t i = 0; i < queries.size(); ++i) {
-            EXPECT_EQ(got[i], want[i])
-                << "mode " << (mode == PlanMode::kTree ? "tree" : "flat")
-                << " shard " << shard_size << " width " << group_width
-                << " parallelism " << parallelism << " query " << i;
-            EXPECT_EQ(got_se[i], want_se[i]) << "stderr, query " << i;
-          }
+    for (const size_t group_width : {size_t{1}, size_t{3}, size_t{32}}) {
+      SamplingPlanOptions popts;
+      popts.max_group_width = group_width;
+      const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs, popts);
+      for (const size_t parallelism : {size_t{1}, size_t{0}}) {
+        PlanExecutionOptions opts;
+        opts.num_samples = 300;
+        opts.shard_size = shard_size;
+        opts.seed = 17;
+        opts.parallelism = parallelism;
+        std::vector<double> got, got_se;
+        ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
+        ASSERT_EQ(got.size(), queries.size());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          EXPECT_EQ(got[i], want[i])
+              << "shard " << shard_size << " width " << group_width
+              << " parallelism " << parallelism << " query " << i;
+          EXPECT_EQ(got_se[i], want_se[i]) << "stderr, query " << i;
         }
       }
     }
@@ -438,8 +367,7 @@ TEST(PlanExecutor, BitIdenticalToSequentialAcrossKernels) {
   model->SetInferenceKernel(KernelKind::kScalar);
 }
 
-// The transformer no longer falls back to per-query forwards: it supports
-// stacked evaluation, and tree execution over its sessions is bit-
+// Tree execution over the transformer's (stateless) sessions is bit-
 // identical to its sequential walk.
 TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
   Table t = MakeRandomTable(400, {6, 5, 8, 4}, 31, /*skew=*/1.0);
@@ -455,7 +383,6 @@ TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
   trcfg.epochs = 1;
   trcfg.batch_size = 128;
   Trainer(model.get(), trcfg).Train(t);
-  ASSERT_TRUE(model->SupportsStackedEvaluation());
   ASSERT_GT(model->StackedWidthHint(), 0u);
 
   std::vector<Query> queries = {QueryOn(t, {2, 3}), QueryOn(t, {2}),
@@ -497,8 +424,8 @@ TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
 
 // A boundary where one branch retires while another forks keeps the
 // frontier's row count but changes which walk each row block continues.
-// The incremental MADE session must notice (the executor's ResetWalk) and
-// recompute the trunk instead of extending the retired branch's trunk.
+// The incremental MADE session must follow the executor's Relayout map
+// instead of extending the retired branch's trunk.
 // Queries (Interval [1,2] on the listed columns):
 //   qa {0, 1}        — constrained column 0: its own branch, retires at 2
 //   qb {1, 2}, qc {1, 3} — wildcard column 0, shared [0, 2), fork at 2
@@ -565,7 +492,6 @@ TEST(PlanExecutor, PrefixShareSavesModelColumnCalls) {
       probs->Fill(1.0f / 3.0f);
       (void)col;
     }
-    bool SupportsStackedEvaluation() const override { return true; }
     int calls = 0;
   };
   CountingModel model;
@@ -595,10 +521,85 @@ TEST(PlanExecutor, PrefixShareSavesModelColumnCalls) {
   EXPECT_NEAR(got[1], 2.0 / 3.0, 1e-6);
 }
 
-TEST(PlanExecutor, RefusesStatefulSessionModels) {
+// Every model walks through the engine's plan executor. Serves `queries`
+// against `model` at 1 and 4 engine threads, as one batch and in chunks
+// of 5 (different plans, different relayouts), and checks estimate and
+// standard error bitwise against the sequential NaruEstimator::Estimate.
+void ExpectEngineMatchesSequential(ConditionalModel* model,
+                                   const std::vector<Query>& queries) {
+  NaruEstimatorConfig ncfg;
+  ncfg.num_samples = 300;
+  ncfg.shard_size = 64;
+  ncfg.enumeration_threshold = 0;
+  NaruEstimator est(model, ncfg, 0);
+  std::vector<EstimateResult> want;
+  for (const Query& q : queries) want.push_back(est.Estimate(q));
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    for (const size_t chunk : {queries.size(), size_t{5}}) {
+      InferenceEngineConfig ecfg;
+      ecfg.num_threads = threads;
+      ecfg.enable_cache = false;
+      InferenceEngine engine(ecfg);
+      for (size_t lo = 0; lo < queries.size(); lo += chunk) {
+        const size_t hi = std::min(queries.size(), lo + chunk);
+        std::vector<EstimateRequest> requests;
+        for (size_t i = lo; i < hi; ++i) requests.emplace_back(queries[i]);
+        std::vector<EstimateResult> got;
+        engine.EstimateBatch(&est, requests, &got);
+        for (size_t i = lo; i < hi; ++i) {
+          const EstimateResult& r = got[i - lo];
+          ASSERT_TRUE(r.ok());
+          EXPECT_EQ(r.estimate, want[i].estimate)
+              << "threads " << threads << " chunk " << chunk << " query "
+              << i;
+          EXPECT_EQ(r.std_error, want[i].std_error)
+              << "threads " << threads << " chunk " << chunk << " query "
+              << i;
+        }
+      }
+      EXPECT_EQ(engine.stats().planned_queries, queries.size());
+    }
+  }
+}
+
+/// Distinct sampled-path queries with forks and shared constrained
+/// prefixes, so the executor relayouts every session mid-walk.
+std::vector<Query> EngineBatch(const Table& t) {
+  std::vector<Query> queries = MixedRunBatch(t, 16, 2, 151);
+  for (const std::vector<size_t>& cols :
+       std::vector<std::vector<size_t>>{
+           {0, 1, 3}, {0, 1, 4}, {0, 1, 5}, {2, 3}, {2, 5}}) {
+    queries.push_back(QueryOn(t, cols));
+  }
+  return queries;
+}
+
+TEST(PlanExecutor, OracleThroughEngineMatchesSequential) {
   Table t = PlanTable(13);
-  OracleModel oracle(&t);
-  EXPECT_FALSE(oracle.SupportsStackedEvaluation());
+  OracleModel oracle(&t, /*smoothing_lambda=*/0.1);
+  ExpectEngineMatchesSequential(&oracle, EngineBatch(t));
+}
+
+TEST(PlanExecutor, PerColumnThroughEngineMatchesSequential) {
+  Table t = PlanTable(14);
+  PerColumnModel::Config cfg;
+  cfg.hidden_sizes = {16, 16};
+  cfg.encoder.onehot_threshold = 6;
+  cfg.encoder.embed_dim = 4;
+  cfg.seed = 14;
+  PerColumnModel model({6, 5, 8, 4, 7, 5}, cfg);
+  TrainerConfig tcfg;
+  tcfg.epochs = 1;
+  tcfg.batch_size = 128;
+  Trainer(&model, tcfg).Train(t);
+  ExpectEngineMatchesSequential(&model, EngineBatch(t));
+}
+
+TEST(PlanExecutor, BayesNetThroughEngineMatchesSequential) {
+  Table t = PlanTable(15);
+  BayesNet net(t);
+  ExpectEngineMatchesSequential(&net, EngineBatch(t));
 }
 
 }  // namespace
