@@ -31,7 +31,7 @@ Table PlanTable(uint64_t seed) {
   return MakeRandomTable(700, {6, 5, 8, 4, 7, 5}, seed, /*skew=*/1.0);
 }
 
-std::unique_ptr<MadeModel> PlanModel(const Table& table, uint64_t seed) {
+std::unique_ptr<MadeModel> TrainedMade(const Table& table, uint64_t seed) {
   MadeModel::Config cfg;
   cfg.hidden_sizes = {24, 24};
   cfg.encoder.onehot_threshold = 16;
@@ -108,7 +108,7 @@ TEST(Query, WildcardMaskAndLeadingRun) {
 //   [0,2)·(4-1) = 6,  [2,4)·(2-1) = 2,  q3/q4 [2,3)·(2-1) = 1   → 9
 TEST(SamplingPlan, TrieSharesMultiDepthAndConstrainedPrefixes) {
   Table t = PlanTable(5);
-  auto model = PlanModel(t, 5);
+  auto model = TrainedMade(t, 5);
   const std::vector<Query> queries = {
       QueryOn(t, {3, 4}), QueryOn(t, {3, 5}), QueryOn(t, {0, 2}),
       QueryOn(t, {2, 3}), QueryOn(t, {2, 5})};
@@ -142,7 +142,7 @@ TEST(SamplingPlan, TrieSharesMultiDepthAndConstrainedPrefixes) {
 
 TEST(SamplingPlan, TreeModeWidthCapSplitsAtForkPoints) {
   Table t = PlanTable(7);
-  auto model = PlanModel(t, 7);
+  auto model = TrainedMade(t, 7);
   // 10 queries, all sharing the constrained column 2; sub-shapes {2,3},
   // {2,4}, {2,5} repeat, so the trie below the shared segment has three
   // natural fork groups of sizes 4 / 3 / 3.
@@ -193,7 +193,7 @@ TEST(SamplingPlan, AutoGroupWidthScalesWithKernelAndModelWidth) {
 
 TEST(SamplingPlan, MixedBudgetsNeverFuse) {
   Table t = PlanTable(19);
-  auto model = PlanModel(t, 19);
+  auto model = TrainedMade(t, 19);
   // Six queries that would all share a wildcard prefix — but three carry a
   // different per-request sample budget, so the compiler must partition
   // them into budget classes before any tree is built.
@@ -223,7 +223,7 @@ TEST(SamplingPlan, MixedBudgetsNeverFuse) {
 
 TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
   Table t = PlanTable(9);
-  auto model = PlanModel(t, 9);
+  auto model = TrainedMade(t, 9);
   const size_t n = model->num_columns();
 
   // Two unrelated walk states...
@@ -276,7 +276,7 @@ TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
 // thread counts (estimates AND standard errors).
 TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
   Table t = PlanTable(11);
-  auto model = PlanModel(t, 11);
+  auto model = TrainedMade(t, 11);
   std::vector<Query> queries = MixedRunBatch(t, 24, 3, 131);
   // Shared-constrained-prefix pairs: identical leading equality literals,
   // diverging suffixes.
@@ -330,7 +330,7 @@ TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
 // walk bit for bit.
 TEST(PlanExecutor, BitIdenticalToSequentialAcrossKernels) {
   Table t = PlanTable(23);
-  auto model = PlanModel(t, 23);
+  auto model = TrainedMade(t, 23);
   std::vector<Query> queries = MixedRunBatch(t, 12, 2, 137);
   queries.push_back(QueryOn(t, {0, 1, 3}));
   queries.push_back(QueryOn(t, {0, 1, 5}));
@@ -431,7 +431,7 @@ TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
 //   qb {1, 2}, qc {1, 3} — wildcard column 0, shared [0, 2), fork at 2
 TEST(PlanExecutor, RetireAndForkAtSameRowCountMatchesSequential) {
   Table t = PlanTable(43);
-  auto model = PlanModel(t, 43);
+  auto model = TrainedMade(t, 43);
   const std::vector<Query> queries = {QueryOn(t, {0, 1}), QueryOn(t, {1, 2}),
                                       QueryOn(t, {1, 3})};
   std::vector<const Query*> ptrs;
