@@ -7,17 +7,10 @@
 namespace naru {
 
 double EnumerateSelectivity(ConditionalModel* model, const Query& query,
-                            size_t batch,
-                            std::chrono::steady_clock::time_point deadline,
-                            bool* abandoned) {
+                            size_t batch, WalkControl* control) {
   NARU_CHECK(query.num_columns() == model->num_table_columns());
   if (query.HasEmptyRegion()) return 0.0;
   const size_t n = model->num_table_columns();
-  // Deadline-free enumerations (the bit-identity reference) never read
-  // the clock; with a deadline, expiry is re-checked before each
-  // LogProbRows batch — between kernels, mirroring the sampler's
-  // between-column-steps checks.
-  const bool has_deadline = deadline != kNoDeadline;
 
   // Odometer over the per-column regions, in code order.
   std::vector<size_t> counts(n);
@@ -29,13 +22,14 @@ double EnumerateSelectivity(ConditionalModel* model, const Query& query,
   double total = 0;
   size_t filled = 0;
   bool done = false;
-  bool expired = false;
+  bool stopped = false;
 
+  // Checked before each LogProbRows batch — between kernels, mirroring
+  // the sampler's between-column-steps checks.
   auto flush = [&]() {
     if (filled == 0) return;
-    if (has_deadline &&
-        DeadlineExpired(deadline, std::chrono::steady_clock::now())) {
-      expired = true;
+    if (control != nullptr && control->ShouldStop()) {
+      stopped = true;
       filled = 0;
       return;
     }
@@ -48,7 +42,7 @@ double EnumerateSelectivity(ConditionalModel* model, const Query& query,
     filled = 0;
   };
 
-  while (!done && !expired) {
+  while (!done && !stopped) {
     for (size_t c = 0; c < n; ++c) {
       tuples.At(filled, c) = query.region(c).NthCode(idx[c]);
     }
@@ -63,10 +57,7 @@ double EnumerateSelectivity(ConditionalModel* model, const Query& query,
     }
   }
   flush();
-  if (expired) {
-    if (abandoned != nullptr) *abandoned = true;
-    return std::numeric_limits<double>::quiet_NaN();
-  }
+  if (stopped) return std::numeric_limits<double>::quiet_NaN();
   return total;
 }
 

@@ -4,8 +4,6 @@
 // Table 6 uses its cost model to report naive-enumeration latencies.
 #pragma once
 
-#include <chrono>
-
 #include "core/conditional_model.h"
 #include "query/query.h"
 #include "util/deadline.h"
@@ -16,17 +14,15 @@ namespace naru {
 /// model. The caller is responsible for checking the region is small
 /// (e.g. via Query::Log10RegionSize).
 ///
-/// Soft-deadline contract (mirrors the sampler's mid-walk checks): the
-/// shared inclusive DeadlineExpired predicate is re-checked BETWEEN
-/// LogProbRows batches — never inside a kernel — and before the final
-/// partial batch. Once expired the enumeration is abandoned: *abandoned
-/// is set and the return value is NaN (must not be used). Deadline-free
-/// calls (the default, and the bit-identity reference) never pay a clock
-/// read and are unchanged.
-double EnumerateSelectivity(
-    ConditionalModel* model, const Query& query, size_t batch = 2048,
-    std::chrono::steady_clock::time_point deadline = kNoDeadline,
-    bool* abandoned = nullptr);
+/// Stop contract (mirrors the sampler's mid-walk checks): `control`
+/// (nullptr = run to completion) is checked BETWEEN LogProbRows batches —
+/// never inside a kernel — and before the final partial batch. Once it
+/// stops, the enumeration is given up: control->stopped() is true and the
+/// return value is NaN (must not be used). A control without a deadline
+/// never reads the clock.
+double EnumerateSelectivity(ConditionalModel* model, const Query& query,
+                            size_t batch = 2048,
+                            WalkControl* control = nullptr);
 
 /// Estimated wall-clock seconds a naive enumeration of `query` would take
 /// at `points_per_second` model throughput (Table 6's "Enum (est.)").

@@ -1,7 +1,6 @@
 #include "core/naru_estimator.h"
 
 #include <cmath>
-#include <limits>
 
 #include "core/enumerator.h"
 #include "serve/inference_engine.h"
@@ -38,13 +37,16 @@ bool NaruEstimator::ShouldEnumerate(const Query& query) const {
 
 EstimateResult NaruEstimator::Estimate(const Query& query,
                                        const EstimateOptions& options) {
-  EstimateResult result;
-  if (options.ExpiredAt(std::chrono::steady_clock::now())) {
-    result.status =
-        Status::DeadlineExceeded("deadline expired before dispatch");
-    result.provenance = ResultProvenance::kShed;
-    return result;
+  // One control carries the request's deadline from the dispatch check
+  // into the enumeration or the walk, which re-check it between steps
+  // (never inside a kernel). Deadline-free requests (the default, and the
+  // bit-identity reference) never pay a clock read.
+  WalkControl control(options.deadline);
+  if (control.ShouldStop()) {
+    return EstimateResult::Shed(
+        Status::DeadlineExceeded("deadline expired before dispatch"));
   }
+  EstimateResult result;
   result.status = Status::OK();
   if (query.HasEmptyRegion()) {
     result.estimate = 0.0;
@@ -52,41 +54,23 @@ EstimateResult NaruEstimator::Estimate(const Query& query,
     return result;
   }
   if (ShouldEnumerate(query)) {
-    // The deadline propagates into exact enumeration too: expiry is
-    // re-checked between LogProbRows batches and the enumeration is
-    // abandoned once it passes — the same typed DEADLINE_EXCEEDED as a
-    // mid-walk abandonment (deadline-free requests pay no clock reads).
-    bool enum_abandoned = false;
-    result.estimate = EnumerateSelectivity(model_, query, /*batch=*/2048,
-                                           options.deadline, &enum_abandoned);
-    if (enum_abandoned) {
-      result.estimate = std::numeric_limits<double>::quiet_NaN();
-      result.status =
-          Status::DeadlineExceeded("deadline expired mid-enumeration");
-      result.provenance = ResultProvenance::kShed;
-      return result;
+    result.estimate =
+        EnumerateSelectivity(model_, query, /*batch=*/2048, &control);
+    if (control.stopped()) {
+      return EstimateResult::Shed(
+          Status::DeadlineExceeded("deadline expired mid-enumeration"));
     }
     result.provenance = ResultProvenance::kEnumerated;
     return result;
   }
   ProgressiveSampler::RunOptions run;
   run.num_samples = options.num_samples;  // 0 = the configured budget
-  // Propagate the soft deadline into the walk: the sampler re-checks it
-  // between column steps (same inclusive predicate as the dispatch-time
-  // shed above) and abandons the walk once it expires. Deadline-free
-  // requests (the default, and the bit-identity reference) never pay a
-  // clock read.
-  bool abandoned = false;
-  run.deadline = options.deadline;
-  run.abandoned = &abandoned;
+  run.control = &control;
   result.estimate =
       sampler_.EstimateWithOptions(query, &result.std_error, run);
-  if (abandoned) {
-    result.estimate = std::numeric_limits<double>::quiet_NaN();
-    result.std_error = 0.0;
-    result.status = Status::DeadlineExceeded("deadline expired mid-walk");
-    result.provenance = ResultProvenance::kShed;
-    return result;
+  if (control.stopped()) {
+    return EstimateResult::Shed(
+        Status::DeadlineExceeded("deadline expired mid-walk"));
   }
   // The sampler short-circuits all-wildcard and leading-only queries to
   // exact answers; label those honestly instead of claiming a walk.
@@ -115,7 +99,16 @@ void NaruEstimator::EstimateBatch(const std::vector<Query>& queries,
                                   std::vector<double>* out) {
   std::call_once(engine_once_,
                  [this] { engine_ = std::make_unique<InferenceEngine>(); });
-  engine_->EstimateBatch(this, queries, out);
+  std::vector<EstimateRequest> requests;
+  requests.reserve(queries.size());
+  for (const Query& q : queries) requests.emplace_back(q);
+  std::vector<EstimateResult> results;
+  engine_->EstimateBatch(this, requests, &results);
+  // Default options carry no deadline, so every result is OK.
+  out->resize(results.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    (*out)[i] = results[i].estimate;
+  }
 }
 
 }  // namespace naru

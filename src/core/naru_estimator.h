@@ -67,8 +67,8 @@ class NaruEstimator : public Estimator {
     return Estimate(request.query, request.options);
   }
 
-  /// Legacy adapter over Estimate() (default options can neither shed nor
-  /// fail, so the bare estimate is always valid).
+  /// The Estimator interface over Estimate() (default options can
+  /// neither shed nor fail, so the bare estimate is always valid).
   double EstimateSelectivity(const Query& query) override;
   /// Serves the batch through a lazily created private InferenceEngine
   /// (defaults: shared global pool, caching on). Construct an engine

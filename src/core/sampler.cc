@@ -1,7 +1,6 @@
 #include "core/sampler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -175,16 +174,14 @@ double ProgressiveSampler::EstimateWithOptions(const Query& query,
   std::vector<double> shard_w(num_shards, 0.0);
   std::vector<double> shard_w2(num_shards, 0.0);
 
-  // Shared mid-walk abandonment flag: the first shard to observe
-  // `options.deadline` expired (between columns, never inside a kernel)
-  // sets it, and every other shard bails at its next column boundary.
-  // Relaxed order at every touch — the flag is monotonic (false -> true)
-  // and publishes nothing: an abandoned walk's partial sums are
-  // discarded below, and completed shard sums are published by the
-  // thread pool's completion edge, not by this flag.
-  std::atomic<bool> walk_abandoned{false};
+  // The walk's stop signal, shared by every shard: the first shard to see
+  // it stop (between columns, never inside a kernel) latches it, and
+  // every other shard bails at its next column boundary.
+  WalkControl uncontrolled;
+  WalkControl* control =
+      options.control != nullptr ? options.control : &uncontrolled;
   auto run_shard = [&](size_t k) {
-    if (walk_abandoned.load(std::memory_order_relaxed)) return;
+    if (control->ShouldStop()) return;
     const size_t lo = k * cfg_.shard_size;
     const size_t rows = std::min(cfg_.shard_size, num_samples - lo);
     Rng rng(ShardSeed(cfg_.seed, k));
@@ -192,8 +189,7 @@ double ProgressiveSampler::EstimateWithOptions(const Query& query,
     shard_w[k] = cfg_.uniform_region
                      ? UniformShardWeightSum(query, rows, &rng, ws.get())
                      : ShardWeightSum(query, rows, last_col, &rng, ws.get(),
-                                      &shard_w2[k], options.deadline,
-                                      &walk_abandoned);
+                                      &shard_w2[k], control);
   };
 
   // The model's kernel-level parallelism (gemm) is suppressed inside shard
@@ -224,11 +220,9 @@ double ProgressiveSampler::EstimateWithOptions(const Query& query,
     for (size_t k = 0; k < num_shards; ++k) run_shard(k);
   }
 
-  if (walk_abandoned.load(std::memory_order_relaxed)) {
+  if (control->stopped()) {
     // Partial shard sums are meaningless; the caller turns this into a
-    // typed DEADLINE_EXCEEDED result. Reached only when the caller set a
-    // deadline, so legacy callers never observe it.
-    if (options.abandoned != nullptr) *options.abandoned = true;
+    // typed DEADLINE_EXCEEDED result.
     return std::numeric_limits<double>::quiet_NaN();
   }
 
@@ -252,11 +246,8 @@ double ProgressiveSampler::EstimateWithOptions(const Query& query,
 
 double ProgressiveSampler::ShardWeightSum(
     const Query& query, size_t rows, int last_col, Rng* rng,
-    SamplerWorkspace* ws, double* weight_sq_sum,
-    std::chrono::steady_clock::time_point deadline,
-    std::atomic<bool>* abandoned) {
+    SamplerWorkspace* ws, double* weight_sq_sum, WalkControl* control) {
   const size_t n = model_->num_columns();
-  const bool has_deadline = deadline != kNoDeadline;
   ws->samples.Resize(rows, n);
   ws->samples.Fill(0);
   ws->weights.assign(rows, 1.0);
@@ -264,17 +255,10 @@ double ProgressiveSampler::ShardWeightSum(
 
   auto session = model_->StartSession(rows);
   for (size_t col = 0; col <= static_cast<size_t>(last_col); ++col) {
-    // Mid-walk deadline checkpoint: BETWEEN columns only, so a walk that
-    // is not abandoned consumes exactly the draws and arithmetic of a
-    // deadline-free walk (bit-identity). Expiry is the shared inclusive
-    // predicate (util/deadline.h).
-    if (has_deadline) {
-      if (abandoned->load(std::memory_order_relaxed)) return 0.0;
-      if (DeadlineExpired(deadline, std::chrono::steady_clock::now())) {
-        abandoned->store(true, std::memory_order_relaxed);
-        return 0.0;
-      }
-    }
+    // Mid-walk checkpoint: BETWEEN columns only, so a walk that is not
+    // stopped consumes exactly the draws and arithmetic of an
+    // uncontrolled walk (bit-identity).
+    if (control->ShouldStop()) return 0.0;
     const bool wildcard = model_->PositionIsWildcard(query, col);
     session->Dist(ws->samples, col, &ws->probs);
     NARU_CHECK(ws->probs.rows() == rows &&

@@ -25,8 +25,6 @@
 // |R| · P̂(x); it collapses on skewed data and exists for the ablation.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -173,7 +171,7 @@ class ProgressiveSampler {
   double EstimateWithStdError(const Query& query, double* std_error);
 
   /// Per-call request options (NaruEstimator::Estimate): a sample budget
-  /// and a soft deadline.
+  /// and a stop signal.
   struct RunOptions {
     /// Per-call sample-path budget: 0 = inherit config. A nonzero value
     /// serves this call with that many paths — bit-identical to a sampler
@@ -181,19 +179,16 @@ class ProgressiveSampler {
     /// streams depend only on (seed, shard_size, num_samples)). Carries
     /// EstimateRequest's per-request budget (serve/request.h).
     size_t num_samples = 0;
-    /// Soft mid-walk deadline (steady_clock; kNoDeadline = none).
-    /// Checked BETWEEN column steps of the sampled walk — never inside a
-    /// kernel, so a walk that runs to completion is bit-identical to one
-    /// run without a deadline. Once the shared inclusive predicate
-    /// (util/deadline.h) trips, every shard of the walk is abandoned;
-    /// `*abandoned` is set and the returned estimate is NaN — the caller
-    /// must replace it with a typed DEADLINE_EXCEEDED status. Exact
-    /// shortcut paths (empty, all-wildcard, leading-only) and the
-    /// uniform-region strawman are never abandoned.
-    std::chrono::steady_clock::time_point deadline = kNoDeadline;
-    /// Out-param (may be nullptr): set to true when the walk was
-    /// abandoned on `deadline`; never written otherwise.
-    bool* abandoned = nullptr;
+    /// Stop signal of the walk (nullptr = run to completion; see
+    /// util/deadline.h). Checked BETWEEN column steps of the sampled walk
+    /// — never inside a kernel, so a walk that runs to completion is
+    /// bit-identical to an uncontrolled one. Once it stops, every shard
+    /// of the walk is given up, control->stopped() is true and the
+    /// returned estimate is NaN — the caller must replace it with a typed
+    /// DEADLINE_EXCEEDED status. Exact shortcut paths (empty,
+    /// all-wildcard, leading-only) never stop; the uniform-region
+    /// strawman is checked only between shards.
+    WalkControl* control = nullptr;
   };
 
   /// As EstimateWithStdError with per-call options.
@@ -223,16 +218,13 @@ class ProgressiveSampler {
 
  private:
   /// Walks one shard of `rows` paths; returns the shard's weight sum and
-  /// adds squared weights into *weight_sq_sum. `deadline` (time_point::
-  /// max() = none) is re-checked between column steps against the shared
-  /// `abandoned` flag: the first shard to observe expiry sets it, every
-  /// shard bails at its next column boundary, and the partial sums are
-  /// discarded by the caller.
+  /// adds squared weights into *weight_sq_sum. `control` (shared by every
+  /// shard of the walk) is checked between column steps: once it stops,
+  /// every shard bails at its next column boundary and the caller
+  /// discards the partial sums.
   double ShardWeightSum(const Query& query, size_t rows, int last_col,
                         Rng* rng, SamplerWorkspace* ws,
-                        double* weight_sq_sum,
-                        std::chrono::steady_clock::time_point deadline,
-                        std::atomic<bool>* abandoned);
+                        double* weight_sq_sum, WalkControl* control);
   double UniformShardWeightSum(const Query& query, size_t rows, Rng* rng,
                                SamplerWorkspace* ws);
 

@@ -1,35 +1,15 @@
 #include "plan/plan_executor.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <utility>
 
 namespace naru {
 
 namespace {
-
-// True once the tree's walk may be abandoned: every member's deadline
-// has passed (abandon_deadline is their max; the shared inclusive expiry
-// predicate, util/deadline.h). Reads the shared flag first so sibling
-// shards of an already-abandoned tree bail without a clock read.
-// Memory order: RELAXED throughout — the flag is monotonic (0 -> 1,
-// never reset) and publishes no data: an abandoned tree's partial sums
-// are discarded unread, and the surviving trees' results are published
-// by the thread pool's completion edge, not by this flag.
-bool TreeExpired(const PlanTree& tree, std::atomic<uint8_t>* abandoned) {
-  if (tree.abandon_deadline == kNoDeadline) return false;
-  if (abandoned->load(std::memory_order_relaxed) != 0) return true;
-  if (DeadlineExpired(tree.abandon_deadline,
-                      std::chrono::steady_clock::now())) {
-    abandoned->store(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
 
 // One live branch of the frontier: the plan-tree node whose segment it is
 // walking, plus its private RNG stream. Branch i owns rows
@@ -42,15 +22,14 @@ struct FrontierEntry {
 // One (tree, shard) task: the column-synchronous frontier walk described
 // in the header. Writes each finished query's shard weight sum / squared
 // sum into the flat per-(query, shard) result arrays. Between column
-// steps (never inside a kernel) the task checks the tree's abandon
-// deadline; once it trips, the task returns early, `abandoned` stays set,
-// and the caller marks every member DEADLINE_EXCEEDED — partial sums are
-// discarded.
+// steps (never inside a kernel) the task checks the tree's `control`;
+// once it stops, the task returns early and the caller marks every
+// member DEADLINE_EXCEEDED — partial sums are discarded.
 void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
                   const PlanTree& tree, size_t shard, size_t rows,
                   uint64_t seed, size_t slot_stride, SamplerWorkspace* ws,
                   std::vector<double>* shard_w, std::vector<double>* shard_w2,
-                  std::atomic<uint8_t>* abandoned) {
+                  WalkControl* control) {
   const size_t n = model->num_columns();
 
   IntMatrix* samples = &ws->samples;
@@ -149,7 +128,7 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
       session->Relayout(src_rows);
     }
 
-    if (TreeExpired(tree, abandoned)) return;
+    if (control->ShouldStop()) return;
 
     // --- One stacked evaluation for the whole frontier, then the shared
     // per-row column step per branch (each with its own RNG). The node's
@@ -198,8 +177,18 @@ void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
   size_t max_shards = 1;
   std::vector<size_t> tree_of(m, 0);  // query -> owning tree
   std::vector<std::pair<size_t, size_t>> tasks;  // (tree, shard)
+  // One stop signal per tree, shared by its (tree, shard) tasks: one walk
+  // serves every member, so it stops only once all of them have expired.
+  // The first task to see it stop latches it, and every sibling bails at
+  // its next column boundary (or skips entirely, below).
+  std::deque<WalkControl> controls;
   for (size_t t = 0; t < plan.trees.size(); ++t) {
-    for (size_t member : plan.trees[t].members) tree_of[member] = t;
+    auto deadline = plan.queries[plan.trees[t].members.front()].deadline;
+    for (size_t member : plan.trees[t].members) {
+      tree_of[member] = t;
+      deadline = WalkControl::Join(deadline, plan.queries[member].deadline);
+    }
+    controls.emplace_back(deadline);
     const size_t ns = effective_samples(plan.trees[t].num_samples);
     NARU_CHECK(ns >= 1);
     const size_t shards = SamplerNumShards(ns, options.shard_size);
@@ -213,35 +202,25 @@ void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
   SamplerWorkspacePool* workspaces =
       options.workspaces != nullptr ? options.workspaces : &local_pool;
 
-  // One abandonment flag per tree, shared by its (tree, shard) tasks:
-  // the first task to observe the tree's abandon_deadline expired sets
-  // it and every sibling bails at its next column boundary (or skips
-  // entirely, below). Relaxed order everywhere (see TreeExpired): the
-  // flag is monotonic and carries no payload — a late-observing sibling
-  // merely runs one extra column step.
-  std::vector<std::atomic<uint8_t>> abandoned(plan.trees.size());
-  for (auto& flag : abandoned) flag.store(0, std::memory_order_relaxed);
-
   const size_t num_tasks = tasks.size();
   auto run_task = [&](size_t t) {
     const auto [tree, k] = tasks[t];
-    if (abandoned[tree].load(std::memory_order_relaxed) != 0) return;
+    if (controls[tree].ShouldStop()) return;
     const size_t ns = effective_samples(plan.trees[tree].num_samples);
     const size_t lo = k * options.shard_size;
     const size_t rows = std::min(options.shard_size, ns - lo);
     WorkspaceLease ws(workspaces);
     RunTreeShard(model, plan, plan.trees[tree], k, rows, options.seed,
-                 max_shards, ws.get(), &shard_w, &shard_w2, &abandoned[tree]);
+                 max_shards, ws.get(), &shard_w, &shard_w2, &controls[tree]);
   };
 
   // Same scheduling discipline as ProgressiveSampler: shard/tree
   // parallelism only on concurrent-capable models, a caller's serial
-  // region wins, and whenever coarse parallelism is exercised (or an
-  // explicit parallelism=1 asked for one thread) the kernels inside run
-  // inline so thread accounting stays honest.
+  // region wins, and whenever coarse parallelism is available the
+  // kernels inside run inline so thread accounting stays honest.
   const bool concurrent_ok = model->SupportsConcurrentSampling();
-  const bool parallel = concurrent_ok && options.parallelism != 1 &&
-                        num_tasks > 1 && !ScopedSerialRegion::Active();
+  const bool parallel =
+      concurrent_ok && num_tasks > 1 && !ScopedSerialRegion::Active();
   if (parallel) {
     ThreadPool* pool = options.thread_pool != nullptr ? options.thread_pool
                                                       : GlobalThreadPool();
@@ -252,7 +231,7 @@ void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
           for (size_t t = lo; t < hi; ++t) run_task(t);
         },
         /*min_chunk=*/1);
-  } else if ((concurrent_ok && num_tasks > 1) || options.parallelism == 1) {
+  } else if (concurrent_ok && num_tasks > 1) {
     ScopedSerialRegion serial;
     for (size_t t = 0; t < num_tasks; ++t) run_task(t);
   } else {
@@ -261,11 +240,11 @@ void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
 
   // Reduce in shard order per query — independent of execution order, and
   // the same arithmetic as ProgressiveSampler::EstimateWithOptions. Each
-  // query reduces over ITS budget's shard count. Members of an abandoned
+  // query reduces over ITS budget's shard count. Members of a stopped
   // tree have incomplete shard sums: they report a typed
   // DEADLINE_EXCEEDED instead of a value.
   for (size_t q = 0; q < m; ++q) {
-    if (abandoned[tree_of[q]].load(std::memory_order_relaxed) != 0) {
+    if (controls[tree_of[q]].stopped()) {
       (*estimates)[q] = std::numeric_limits<double>::quiet_NaN();
       if (statuses != nullptr) {
         (*statuses)[q] =

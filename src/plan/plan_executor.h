@@ -52,11 +52,9 @@ struct PlanExecutionOptions {
   size_t num_samples = 1000;
   size_t shard_size = 128;
   uint64_t seed = 7;
-  /// 1 = strictly serial on the calling thread; any other value spreads
-  /// (tree, shard) tasks across `thread_pool` when the model supports
-  /// concurrent sampling.
-  size_t parallelism = 0;
-  /// nullptr = the process-global pool.
+  /// Pool for (tree, shard) tasks when the model supports concurrent
+  /// sampling; nullptr = the process-global pool. A caller's
+  /// ScopedSerialRegion keeps every task on the calling thread.
   ThreadPool* thread_pool = nullptr;
   /// nullptr = a private pool for this call (the serving engine injects
   /// its shared pool so concurrent batches reuse one set of buffers).
@@ -69,14 +67,15 @@ struct PlanExecutionOptions {
 /// (num_samples, shard_size, seed). `std_errors` (optional) receives the
 /// matching Monte Carlo standard errors. Serves every ConditionalModel.
 ///
-/// Mid-walk abandonment: a tree whose abandon_deadline (the latest
-/// member deadline) has passed is given up BETWEEN column steps — never
-/// inside a kernel — and every member of an abandoned tree reports a
-/// DEADLINE_EXCEEDED entry in `statuses` (optional; parallel to
-/// `estimates`, OK elsewhere) with a NaN estimate. Expiry is inclusive
-/// (now >= deadline), the serve-layer predicate. Trees that are not
-/// abandoned are bit-identical to a deadline-free run: the checkpoint
-/// reads the clock, it never touches RNG streams or weights.
+/// Mid-walk stop: each tree's walk has one WalkControl (util/deadline.h)
+/// whose deadline is the join of its members' deadlines — the latest, or
+/// none if any member has none. Once it passes, the tree is given up
+/// BETWEEN column steps — never inside a kernel — and every member of a
+/// stopped tree reports a DEADLINE_EXCEEDED entry in `statuses`
+/// (optional; parallel to `estimates`, OK elsewhere) with a NaN estimate.
+/// Trees that are not stopped are bit-identical to a deadline-free run:
+/// the checkpoint reads the clock, it never touches RNG streams or
+/// weights.
 void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
                          const PlanExecutionOptions& options,
                          std::vector<double>* estimates,

@@ -239,19 +239,9 @@ class TreeCompiler {
     return id;
   }
 
-  /// Budget, deadline, and shape stats; appends to the plan.
+  /// Budget and shape stats; appends to the plan.
   void FinishTree(PlanTree tree) {
-    const std::vector<QueryPlan>& queries = plan_->queries;
-    tree.num_samples = queries[tree.members.front()].num_samples;
-    // Abandonable only past the LATEST member deadline: the shared walk
-    // serves every member, so it may be given up only once all of them
-    // have expired. kNoDeadline is time_point::max(), so one
-    // deadline-free member disables abandonment via the max.
-    tree.abandon_deadline = std::chrono::steady_clock::time_point::min();
-    for (size_t m : tree.members) {
-      tree.abandon_deadline =
-          std::max(tree.abandon_deadline, queries[m].deadline);
-    }
+    tree.num_samples = plan_->queries[tree.members.front()].num_samples;
     // Fork depth / fanout by one reverse pass (children follow parents).
     std::vector<size_t> depth(tree.nodes.size(), 0);
     for (size_t id = tree.nodes.size(); id > 0; --id) {

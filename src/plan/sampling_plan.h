@@ -63,9 +63,10 @@ struct QueryPlan {
   size_t num_samples = 0;
   /// Per-request soft deadline (steady_clock; kNoDeadline = none).
   /// Scheduling metadata only — it NEVER affects tree shape, and a tree's
-  /// walk is abandoned mid-column only once EVERY member has expired
-  /// (see PlanTree::abandon_deadline), so a deadline can only replace an
-  /// answer with a typed DEADLINE_EXCEEDED status, never change one.
+  /// walk is stopped mid-column only once EVERY member has expired (the
+  /// executor joins the members' deadlines, WalkControl::Join), so a
+  /// deadline can only replace an answer with a typed DEADLINE_EXCEEDED
+  /// status, never change one.
   std::chrono::steady_clock::time_point deadline = kNoDeadline;
 };
 
@@ -101,11 +102,6 @@ struct PlanTree {
   /// The members' common sample budget (0 = executor default). Uniform
   /// across the tree by construction.
   size_t num_samples = 0;
-  /// Instant past which the tree's walk may be abandoned between column
-  /// steps: the LATEST member deadline — every member must have expired
-  /// before a shared walk is given up, because one walk serves them all.
-  /// kNoDeadline (any deadline-free member) disables abandonment.
-  std::chrono::steady_clock::time_point abandon_deadline = kNoDeadline;
   /// Fork depth: maximum number of fork points (nodes with >= 2 children
   /// or any terminal alongside survivors) on a root-to-leaf path. 0 for a
   /// single-query tree.
@@ -147,7 +143,7 @@ struct SamplingPlanOptions {
   std::vector<size_t> budgets;
   /// Per-query soft deadlines, parallel to `queries` (empty = none; see
   /// QueryPlan::deadline). Unlike budgets these never partition or
-  /// reorder the trees — they only set each tree's abandon_deadline.
+  /// reorder the trees — they only decide when a tree's walk may stop.
   std::vector<std::chrono::steady_clock::time_point> deadlines;
 };
 

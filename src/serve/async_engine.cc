@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -67,28 +66,6 @@ bool AsyncEngine::DrainSatisfiedLocked(uint64_t watermark) const {
 }
 
 namespace {
-
-/// The typed result an admission-shed request resolves to. queue_ms is
-/// filled by the caller (victims waited; rejected incomings did not).
-EstimateResult AdmissionShedResult() {
-  EstimateResult result;
-  result.status =
-      Status::ResourceExhausted("pending queue full: admission shed");
-  result.provenance = ResultProvenance::kShed;
-  return result;
-}
-
-/// The typed result for an admission victim whose deadline had already
-/// expired while it waited. DEADLINE_EXCEEDED, not RESOURCE_EXHAUSTED:
-/// the request was doomed regardless of queue pressure, and a retry hint
-/// would be misleading — resubmitting an expired request is pointless.
-EstimateResult ExpiredVictimResult() {
-  EstimateResult result;
-  result.status = Status::DeadlineExceeded(
-      "deadline expired while pending; evicted at admission");
-  result.provenance = ResultProvenance::kShed;
-  return result;
-}
 
 /// Resolves ONE submitter: its callback runs before its future becomes
 /// ready, and a throwing callback fails only this submitter's future —
@@ -274,8 +251,17 @@ std::future<EstimateResult> AsyncEngine::Submit(
     const auto now = std::chrono::steady_clock::now();
     const size_t shed_class = PriorityIndex(victim->request.options.priority);
     std::vector<double> shed_queue_ms;  // folded into class_queue_ below
-    EstimateResult shed =
-        victim_expired ? ExpiredVictimResult() : AdmissionShedResult();
+    // A victim whose deadline had already expired while it waited resolves
+    // DEADLINE_EXCEEDED, not RESOURCE_EXHAUSTED: it was doomed regardless
+    // of queue pressure, and a retry hint would be misleading —
+    // resubmitting an expired request is pointless.
+    const Status admission_shed =
+        Status::ResourceExhausted("pending queue full: admission shed");
+    EstimateResult shed = EstimateResult::Shed(
+        victim_expired ? Status::DeadlineExceeded(
+                             "deadline expired while pending; evicted at "
+                             "admission")
+                       : admission_shed);
     shed.retry_after_ms = victim_expired ? 0.0 : retry_ms;
     shed.queue_ms = std::max(
         0.0,
@@ -284,7 +270,7 @@ std::future<EstimateResult> AsyncEngine::Submit(
     shed_queue_ms.push_back(shed.queue_ms);
     DeliverResult(&victim->promise, victim->on_complete, shed);
     for (size_t j = 0; j < victim->joiners->promises.size(); ++j) {
-      EstimateResult joined = AdmissionShedResult();
+      EstimateResult joined = EstimateResult::Shed(admission_shed);
       joined.retry_after_ms = retry_ms;
       joined.queue_ms = std::max(
           0.0, std::chrono::duration<double, std::milli>(
@@ -310,33 +296,6 @@ std::future<EstimateResult> AsyncEngine::Submit(
     return result;
   }
   cv_.NotifyAll();
-  return result;
-}
-
-std::future<double> AsyncEngine::Submit(NaruEstimator* est, Query query,
-                                        std::function<void(double)> on_complete) {
-  // Adapter over the typed surface: unwrap the estimate, map a non-OK
-  // Status to an exceptional future (the pre-typed contract), and keep
-  // the callback-failure isolation — a throwing callback fails only THIS
-  // submitter's future.
-  auto promise = std::make_shared<std::promise<double>>();
-  std::future<double> result = promise->get_future();
-  Submit(est, EstimateRequest(std::move(query)),
-         [promise, callback = std::move(on_complete)](const EstimateResult& r) {
-           try {
-             if (!r.status.ok()) {
-               throw std::runtime_error(r.status.ToString());
-             }
-             if (callback) callback(r.estimate);
-             promise->set_value(r.estimate);
-           } catch (...) {
-             try {
-               promise->set_exception(std::current_exception());
-             } catch (const std::future_error&) {
-               // value already set before the callback threw
-             }
-           }
-         });
   return result;
 }
 
@@ -456,7 +415,7 @@ void AsyncEngine::DispatcherLoop() {
           // common all-deadline-free backlog stays O(1) per slot.
           size_t pick = 0;
           if (pending_deadlines_[pri] > 0) {
-            auto best_deadline = EstimateOptions::kNoDeadline;
+            auto best_deadline = kNoDeadline;
             for (size_t j = 0; j < q.size(); ++j) {
               const EstimateOptions& opt = q[j].request.options;
               if (opt.has_deadline() && opt.deadline < best_deadline) {
@@ -529,8 +488,7 @@ void AsyncEngine::DispatcherLoop() {
     }
     if (batch_error != nullptr) {
       // Status end to end: an engine-side failure becomes a typed
-      // Internal result on every request of the batch (the legacy double
-      // adapter re-raises it as an exceptional future).
+      // Internal result on every request of the batch.
       out.assign(take, EstimateResult{});
       for (EstimateResult& r : out) {
         r.status = Status::Internal("batch estimation failed");

@@ -177,13 +177,6 @@ class AsyncEngine {
       NaruEstimator* est, EstimateRequest request,
       std::function<void(const EstimateResult&)> on_complete = {});
 
-  /// Legacy adapter: default-option submission returning the bare
-  /// selectivity. The future carries an exception when the typed surface
-  /// would have carried a non-OK status (impossible for default options
-  /// short of an engine-internal failure).
-  std::future<double> Submit(NaruEstimator* est, Query query,
-                             std::function<void(double)> on_complete = {});
-
   /// Blocks until every request submitted before this call has completed —
   /// and no longer: requests submitted concurrently with or after Drain
   /// are not waited for, so a drain cannot be starved by ongoing traffic.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <limits>
 
 #include "core/enumerator.h"
 #include "plan/plan_executor.h"
@@ -168,22 +167,6 @@ void InferenceEngine::ClearCachesFor(const ConditionalModel* model) {
 }
 
 void InferenceEngine::EstimateBatch(NaruEstimator* est,
-                                    const std::vector<Query>& queries,
-                                    std::vector<double>* out) {
-  std::vector<EstimateRequest> requests;
-  requests.reserve(queries.size());
-  for (const Query& q : queries) requests.emplace_back(q);
-  std::vector<EstimateResult> results;
-  EstimateBatch(est, requests, &results);
-  out->resize(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    // Default options carry no deadline, so nothing can shed: every
-    // result is OK by construction.
-    (*out)[i] = results[i].estimate;
-  }
-}
-
-void InferenceEngine::EstimateBatch(NaruEstimator* est,
                                     const std::vector<EstimateRequest>& requests,
                                     std::vector<EstimateResult>* out) {
   const size_t n = requests.size();
@@ -203,9 +186,8 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   for (size_t i = 0; i < n; ++i) {
     if (requests[i].options.ExpiredAt(compute_start)) {
       live[i] = 0;
-      (*out)[i].status =
-          Status::DeadlineExceeded("deadline expired before dispatch");
-      (*out)[i].provenance = ResultProvenance::kShed;
+      (*out)[i] = EstimateResult::Shed(
+          Status::DeadlineExceeded("deadline expired before dispatch"));
       ++shed_count;
     }
   }
@@ -263,7 +245,6 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   // key — read-write and read-only requests share memo entries.
   constexpr size_t kNoRep = static_cast<size_t>(-1);
   constexpr size_t kNumPolicies = 3;
-  constexpr auto kNoDeadline = EstimateOptions::kNoDeadline;
   std::vector<std::string> keys(n);
   std::vector<size_t> eff(n, 0);
   std::unordered_map<size_t, std::string> prefixes;  // budget -> prefix
@@ -271,11 +252,10 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
       first_index;  // key -> representative per cache policy
   std::vector<size_t> reps;          // one representative per distinct key
   std::vector<size_t> dup_of(n);     // representative index per request
-  // Mid-walk abandonment instant per COMPUTATION (indexed by rep): the
-  // LATEST deadline over every request coalesced into it, so a shared
-  // walk is abandoned only once every interested request has expired —
-  // one deadline-free duplicate (kNoDeadline = max()) pins it to "never".
-  // This is the per-computation analogue of PlanTree::abandon_deadline.
+  // Deadline per COMPUTATION (indexed by rep): the join of every request
+  // coalesced into it (WalkControl::Join — the same latest-sharer rule
+  // the plan executor applies per tree), so a shared walk stops only once
+  // every interested request has expired.
   std::vector<std::chrono::steady_clock::time_point> rep_deadline(n,
                                                                   kNoDeadline);
   reps.reserve(n);
@@ -309,8 +289,8 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
       reps.push_back(i);
       rep_deadline[i] = requests[i].options.deadline;
     } else {
-      rep_deadline[slot] =
-          std::max(rep_deadline[slot], requests[i].options.deadline);
+      rep_deadline[slot] = WalkControl::Join(rep_deadline[slot],
+                                             requests[i].options.deadline);
     }
     dup_of[i] = slot;
   }
@@ -401,20 +381,6 @@ void InferenceEngine::EstimateMixedBatch(
   }
 }
 
-void InferenceEngine::EstimateMixedBatch(
-    const std::vector<NaruEstimator*>& ests, const std::vector<Query>& queries,
-    std::vector<double>* out) {
-  std::vector<EstimateRequest> requests;
-  requests.reserve(queries.size());
-  for (const Query& q : queries) requests.emplace_back(q);
-  std::vector<EstimateResult> results;
-  EstimateMixedBatch(ests, requests, &results);
-  out->resize(results.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    (*out)[i] = results[i].estimate;
-  }
-}
-
 bool InferenceEngine::ResolveBeforeSampling(
     NaruEstimator* est, const Query& query, const std::string& memo_key,
     CachePolicy cache_policy, std::chrono::steady_clock::time_point deadline,
@@ -450,22 +416,19 @@ bool InferenceEngine::ResolveBeforeSampling(
 
   if (est->ShouldEnumerate(query)) {
     // Serialized per model (see EnumerationMutexFor); sampling queries
-    // keep flowing meanwhile. The computation's deadline (max over
-    // coalesced duplicates) propagates in: expiry is re-checked between
-    // LogProbRows batches and the enumeration abandoned once it passes —
-    // the exact-path analogue of a mid-walk abandonment.
-    bool enum_abandoned = false;
+    // keep flowing meanwhile. The computation's joined deadline
+    // propagates in: it is re-checked between LogProbRows batches and the
+    // enumeration stopped once it passes — the exact-path analogue of a
+    // mid-walk stop.
+    WalkControl control(deadline);
     {
       MutexLock lock(&EnumerationMutexFor(model));
-      result->estimate = EnumerateSelectivity(model, query, /*batch=*/2048,
-                                              deadline, &enum_abandoned);
+      result->estimate =
+          EnumerateSelectivity(model, query, /*batch=*/2048, &control);
     }
-    if (enum_abandoned) {
-      result->estimate = std::numeric_limits<double>::quiet_NaN();
-      result->std_error = 0.0;
-      result->status =
-          Status::DeadlineExceeded("deadline expired mid-enumeration");
-      result->provenance = ResultProvenance::kShed;
+    if (control.stopped()) {
+      *result = EstimateResult::Shed(
+          Status::DeadlineExceeded("deadline expired mid-enumeration"));
       MutexLock lock(&mu_);
       ++stats_.shed_midwalk;  // never memoized: there is no value to store
       return true;
@@ -549,8 +512,8 @@ void InferenceEngine::EstimatePlanned(
   plan_opts.deadlines.reserve(reps.size());
   for (const SampledRep& rep : reps) {
     plan_opts.budgets.push_back(rep.budget);  // never fused across budgets
-    // Scheduling-only metadata: a group is abandonable once EVERY
-    // member's (coalesced-max) deadline has passed.
+    // Scheduling-only metadata: a tree's walk may stop once EVERY
+    // member's (coalesced) deadline has passed.
     plan_opts.deadlines.push_back(rep.deadline);
   }
   if (pool != nullptr) {
@@ -576,9 +539,8 @@ void InferenceEngine::EstimatePlanned(
   popts.shard_size = scfg.shard_size;
   popts.seed = scfg.seed;
   // When the engine is serial (pool == nullptr) the caller already holds a
-  // ScopedSerialRegion and the executor runs inline; otherwise (group,
+  // ScopedSerialRegion and the executor runs inline; otherwise (tree,
   // shard) tasks spread across the engine's pool.
-  popts.parallelism = pool == nullptr ? 1 : 0;
   popts.thread_pool = pool;
   popts.workspaces = &workspaces_;
 
@@ -602,18 +564,15 @@ void InferenceEngine::EstimatePlanned(
   auto& memo = caches_[est->model()].result_memo;
   for (size_t i = 0; i < reps.size(); ++i) {
     EstimateResult& r = (*out)[reps[i].index];
-    r.compute_ms = reps[i].resolve_ms + segment_ms;
     if (!statuses[i].ok()) {
-      // Group abandoned mid-walk: every sharer had expired. Typed, never
+      // Tree stopped mid-walk: every sharer had expired. Typed, never
       // memoized (there is no value), NaN estimate.
-      r.estimate = std::numeric_limits<double>::quiet_NaN();
-      r.std_error = 0.0;
-      r.status = statuses[i];
-      r.provenance = ResultProvenance::kShed;
-      r.samples_used = 0;
+      r = EstimateResult::Shed(statuses[i]);
+      r.compute_ms = reps[i].resolve_ms + segment_ms;
       ++stats_.shed_midwalk;
       continue;
     }
+    r.compute_ms = reps[i].resolve_ms + segment_ms;
     ++stats_.sampled;
     r.estimate = estimates[i];
     r.std_error = std_errors[i];

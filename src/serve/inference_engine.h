@@ -17,8 +17,8 @@
 // priority class, cache policy — to EstimateResults carrying the
 // estimate, a Status (DEADLINE_EXCEEDED for shed requests), the Monte
 // Carlo standard error when sampled, a provenance tag, and latency
-// attribution. The legacy double-returning overloads are thin adapters
-// over it and stay bit-identical for default options.
+// attribution. For default options it is bit-identical to the
+// sequential path.
 //
 // Caches are size-aware LRU maps (serve/lru_cache.h) bounded by a byte
 // budget per model; hit/miss/eviction counters and occupancy are exposed
@@ -203,23 +203,12 @@ class InferenceEngine {
                      const std::vector<EstimateRequest>& requests,
                      std::vector<EstimateResult>* out);
 
-  /// Legacy adapter: default-option requests, estimates only. Results are
-  /// bit-identical to the typed surface with default EstimateOptions
-  /// (and, transitively, to the sequential path).
-  void EstimateBatch(NaruEstimator* est, const std::vector<Query>& queries,
-                     std::vector<double>* out);
-
   /// Groups a mixed batch by estimator and serves each group batched:
   /// `ests` and `requests` are parallel arrays of equal length, and
   /// (*out)[i] is ests[i]'s result for requests[i].
   void EstimateMixedBatch(const std::vector<NaruEstimator*>& ests,
                           const std::vector<EstimateRequest>& requests,
                           std::vector<EstimateResult>* out);
-
-  /// Legacy adapter over the typed mixed batch.
-  void EstimateMixedBatch(const std::vector<NaruEstimator*>& ests,
-                          const std::vector<Query>& queries,
-                          std::vector<double>* out);
 
   /// Counters plus a point-in-time cache occupancy snapshot.
   EngineStats stats() const;
@@ -257,11 +246,11 @@ class InferenceEngine {
   /// leading-only marginal. Returns true with *result filled when the
   /// query resolved; false when it needs a progressive-sampling walk.
   /// `memo_key` is the batch-hoisted full cache key (config prefix +
-  /// canonical query bytes). `deadline` is the computation's abandonment
-  /// instant (max over coalesced duplicates): exact enumeration re-checks
-  /// it between LogProbRows batches and resolves to a typed
-  /// DEADLINE_EXCEEDED shed (counted in shed_midwalk, never memoized)
-  /// once it passes.
+  /// canonical query bytes). `deadline` is the computation's deadline
+  /// (joined over coalesced duplicates, WalkControl::Join): exact
+  /// enumeration re-checks it between LogProbRows batches and resolves to
+  /// a typed DEADLINE_EXCEEDED shed (counted in shed_midwalk, never
+  /// memoized) once it passes.
   bool ResolveBeforeSampling(NaruEstimator* est, const Query& query,
                              const std::string& memo_key,
                              CachePolicy cache_policy,
@@ -276,10 +265,9 @@ class InferenceEngine {
     std::string memo_key;    ///< full cache key (config prefix + bytes)
     size_t budget = 0;       ///< effective per-request sample budget
     CachePolicy policy = CachePolicy::kReadWrite;
-    /// Mid-walk abandonment instant: the LATEST deadline over every
-    /// request coalesced into this computation (max() = never abandon).
-    std::chrono::steady_clock::time_point deadline =
-        std::chrono::steady_clock::time_point::max();
+    /// The computation's deadline: the join of every request coalesced
+    /// into it (WalkControl::Join; kNoDeadline = never stop).
+    std::chrono::steady_clock::time_point deadline = kNoDeadline;
     /// Wall time this rep spent in the keyed/exact resolve pass — folded
     /// into its compute_ms on top of the fused segment's elapsed time.
     double resolve_ms = 0.0;
@@ -288,7 +276,7 @@ class InferenceEngine {
   /// Serves the batch's unresolved sampled requests through a compiled
   /// SamplingPlan (prefix sharing + stacked GEMMs, grouping split by
   /// per-request budget); fills (*out)[rep.index] and memoizes each
-  /// completed result. Reps whose plan tree was abandoned mid-walk (all
+  /// completed result. Reps whose plan tree was stopped mid-walk (all
   /// sharers expired) resolve with DEADLINE_EXCEEDED and are never
   /// memoized. compute_ms per rep = its resolve_ms + the fused planned
   /// segment's elapsed time (group work is shared, so the segment is

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "query/query.h"
 #include "util/deadline.h"
@@ -71,8 +72,9 @@ enum class ResultProvenance : uint8_t {
 /// Short lower-case name, e.g. "cache_hit" (stats rendering, CLI output).
 const char* ResultProvenanceToString(ResultProvenance provenance);
 
-/// Per-request serving options. The default-constructed value reproduces
-/// the legacy double-returning surface exactly.
+/// Per-request serving options. The default-constructed value is served
+/// bit-identically to the sequential NaruEstimator::EstimateSelectivity
+/// path.
 struct EstimateOptions {
   /// Progressive sample paths for THIS request; 0 inherits the
   /// estimator's configured num_samples. Part of the value contract: two
@@ -102,9 +104,6 @@ struct EstimateOptions {
   /// Result-cache interaction; see CachePolicy.
   CachePolicy cache_policy = CachePolicy::kReadWrite;
 
-  static constexpr std::chrono::steady_clock::time_point kNoDeadline =
-      std::chrono::steady_clock::time_point::max();
-
   /// Convenience: a deadline `ms` milliseconds from now.
   static std::chrono::steady_clock::time_point DeadlineInMs(double ms) {
     return std::chrono::steady_clock::now() +
@@ -114,16 +113,11 @@ struct EstimateOptions {
 
   bool has_deadline() const { return deadline != kNoDeadline; }
 
-  /// The shared expiry predicate (util/deadline.h — one definition for
-  /// every shed site, serve-layer and below): INCLUSIVE at the deadline
-  /// instant — a request whose deadline equals the check time is already
-  /// expired, matching the documented "expired by dispatch time".
-  static bool Expired(std::chrono::steady_clock::time_point deadline,
-                      std::chrono::steady_clock::time_point now) {
-    return DeadlineExpired(deadline, now);
-  }
+  /// The shared expiry predicate (util/deadline.h): INCLUSIVE at the
+  /// deadline instant — a request whose deadline equals the check time is
+  /// already expired, matching the documented "expired by dispatch time".
   bool ExpiredAt(std::chrono::steady_clock::time_point now) const {
-    return Expired(deadline, now);
+    return DeadlineExpired(deadline, now);
   }
 
   /// THE resolution of the 0-means-inherit budget rule, shared by every
@@ -194,6 +188,15 @@ struct EstimateResult {
   double compute_ms = 0.0;
 
   bool ok() const { return status.ok(); }
+
+  /// An unanswered request (provenance kShed): NaN estimate, no standard
+  /// error, no sample paths spent, and `status` saying why.
+  static EstimateResult Shed(Status status) {
+    EstimateResult result;
+    result.status = std::move(status);
+    result.provenance = ResultProvenance::kShed;
+    return result;
+  }
 };
 
 }  // namespace naru

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -305,19 +306,20 @@ TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
       SamplingPlanOptions popts;
       popts.max_group_width = group_width;
       const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs, popts);
-      for (const size_t parallelism : {size_t{1}, size_t{0}}) {
+      for (const bool serial : {true, false}) {
+        std::optional<ScopedSerialRegion> region;
+        if (serial) region.emplace();
         PlanExecutionOptions opts;
         opts.num_samples = 300;
         opts.shard_size = shard_size;
         opts.seed = 17;
-        opts.parallelism = parallelism;
         std::vector<double> got, got_se;
         ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
         ASSERT_EQ(got.size(), queries.size());
         for (size_t i = 0; i < queries.size(); ++i) {
           EXPECT_EQ(got[i], want[i])
               << "shard " << shard_size << " width " << group_width
-              << " parallelism " << parallelism << " query " << i;
+              << " serial " << serial << " query " << i;
           EXPECT_EQ(got_se[i], want_se[i]) << "stderr, query " << i;
         }
       }
@@ -352,16 +354,17 @@ TEST(PlanExecutor, BitIdenticalToSequentialAcrossKernels) {
     }
 
     const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs);
-    for (const size_t parallelism : {size_t{1}, size_t{0}}) {
+    for (const bool serial : {true, false}) {
+      std::optional<ScopedSerialRegion> region;
+      if (serial) region.emplace();
       PlanExecutionOptions opts;
       opts.num_samples = 200;
       opts.shard_size = 64;
       opts.seed = 29;
-      opts.parallelism = parallelism;
       std::vector<double> got;
       ExecuteSamplingPlan(model.get(), plan, opts, &got);
       EXPECT_EQ(got, want) << "kernel " << KernelKindName(kernel)
-                           << " parallelism " << parallelism;
+                           << " serial " << serial;
     }
   }
   model->SetInferenceKernel(KernelKind::kScalar);
@@ -405,18 +408,18 @@ TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
 
   const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs);
   EXPECT_GT(plan.SharedColumns(), 0u);
-  for (const size_t parallelism : {size_t{1}, size_t{0}}) {
+  for (const bool serial : {true, false}) {
+    std::optional<ScopedSerialRegion> region;
+    if (serial) region.emplace();
     PlanExecutionOptions opts;
     opts.num_samples = 128;
     opts.shard_size = 64;
     opts.seed = 41;
-    opts.parallelism = parallelism;
     std::vector<double> got, got_se;
     ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
     ASSERT_EQ(got.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(got[i], want[i]) << "parallelism " << parallelism
-                                 << " query " << i;
+      EXPECT_EQ(got[i], want[i]) << "serial " << serial << " query " << i;
       EXPECT_EQ(got_se[i], want_se[i]) << "stderr, query " << i;
     }
   }
@@ -468,9 +471,11 @@ TEST(PlanExecutor, RetireAndForkAtSameRowCountMatchesSequential) {
     opts.num_samples = 200;
     opts.shard_size = 64;
     opts.seed = 47;
-    opts.parallelism = 1;
     std::vector<double> got, got_se;
-    ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
+    {
+      ScopedSerialRegion serial;
+      ExecuteSamplingPlan(model.get(), plan, opts, &got, &got_se);
+    }
     EXPECT_EQ(got, want) << "kernel " << KernelKindName(kernel);
     EXPECT_EQ(got_se, want_se) << "kernel " << KernelKindName(kernel);
   }

@@ -78,6 +78,24 @@ std::vector<Query> ServingQueries(const Table& table, uint64_t seed) {
   return queries;
 }
 
+// Serves `queries` as default-option typed requests and returns the
+// estimates. Default options carry no deadline, so every result must
+// resolve OK.
+std::vector<double> BatchEstimates(InferenceEngine* engine,
+                                   NaruEstimator* est,
+                                   const std::vector<Query>& queries) {
+  std::vector<EstimateRequest> requests;
+  for (const Query& q : queries) requests.emplace_back(q);
+  std::vector<EstimateResult> results;
+  engine->EstimateBatch(est, requests, &results);
+  std::vector<double> estimates;
+  for (const EstimateResult& r : results) {
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+    estimates.push_back(r.estimate);
+  }
+  return estimates;
+}
+
 TEST(QueryKey, DistinguishesRegionsExactly) {
   EXPECT_EQ(RegionKey(ValueSet::All(10)), RegionKey(ValueSet::All(12)));
   EXPECT_EQ(RegionKey(ValueSet::Interval(10, 2, 5)),
@@ -113,8 +131,8 @@ TEST(InferenceEngine, BatchMatchesSequentialBitForBit) {
 
   // Through an explicit engine...
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 3});
-  std::vector<double> batched;
-  engine.EstimateBatch(&est, queries, &batched);
+  const std::vector<double> batched =
+      BatchEstimates(&engine, &est, queries);
   ASSERT_EQ(batched.size(), sequential.size());
   for (size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(batched[i], sequential[i]) << "query " << i;
@@ -144,9 +162,7 @@ TEST(InferenceEngine, ThreadCountInvariance) {
   std::vector<std::vector<double>> results;
   for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     InferenceEngine engine(InferenceEngineConfig{.num_threads = threads});
-    std::vector<double> out;
-    engine.EstimateBatch(&est, queries, &out);
-    results.push_back(std::move(out));
+    results.push_back(BatchEstimates(&engine, &est, queries));
   }
   for (size_t k = 1; k < results.size(); ++k) {
     EXPECT_EQ(results[k], results[0]) << "thread config " << k;
@@ -172,10 +188,9 @@ TEST(InferenceEngine, WorkspaceReuseDoesNotLeakAcrossBatches) {
   ecfg.enable_cache = false;
   InferenceEngine engine(ecfg);
 
-  std::vector<double> first_a, b_out, second_a;
-  engine.EstimateBatch(&est, batch_a, &first_a);
-  engine.EstimateBatch(&est, batch_b, &b_out);
-  engine.EstimateBatch(&est, batch_a, &second_a);
+  const std::vector<double> first_a = BatchEstimates(&engine, &est, batch_a);
+  BatchEstimates(&engine, &est, batch_b);
+  const std::vector<double> second_a = BatchEstimates(&engine, &est, batch_a);
   EXPECT_EQ(second_a, first_a);
 
   NaruEstimator fresh(model.get(), ncfg, 0);
@@ -202,10 +217,9 @@ TEST(InferenceEngine, CacheHitsAreExactAndCounted) {
   NaruEstimator est(model.get(), ncfg, 0);
 
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 1});
-  std::vector<double> first, second;
-  engine.EstimateBatch(&est, queries, &first);
+  const std::vector<double> first = BatchEstimates(&engine, &est, queries);
   const auto cold = engine.stats();
-  engine.EstimateBatch(&est, queries, &second);
+  const std::vector<double> second = BatchEstimates(&engine, &est, queries);
   const auto warm = engine.stats();
 
   EXPECT_EQ(second, first);
@@ -241,18 +255,16 @@ TEST(InferenceEngine, LruEvictionNeverChangesAnEstimate) {
   ecfg.cache_budget_bytes = 2 * (64 + LruResultCache::kEntryOverheadBytes);
   InferenceEngine tiny(ecfg);
 
-  std::vector<double> first, second, third;
-  tiny.EstimateBatch(&est, queries, &first);
-  tiny.EstimateBatch(&est, queries, &second);
-  tiny.EstimateBatch(&est, queries, &third);
+  const std::vector<double> first = BatchEstimates(&tiny, &est, queries);
+  const std::vector<double> second = BatchEstimates(&tiny, &est, queries);
+  const std::vector<double> third = BatchEstimates(&tiny, &est, queries);
   EXPECT_EQ(second, first);
   EXPECT_EQ(third, first);
 
   // An unconstrained engine and the sequential path agree bit-for-bit:
   // an evicted entry recomputes to the identical value.
   InferenceEngine roomy(InferenceEngineConfig{.num_threads = 2});
-  std::vector<double> cached;
-  roomy.EstimateBatch(&est, queries, &cached);
+  const std::vector<double> cached = BatchEstimates(&roomy, &est, queries);
   EXPECT_EQ(cached, first);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(first[i], est.EstimateSelectivity(queries[i])) << "query " << i;
@@ -283,8 +295,7 @@ TEST(InferenceEngine, CoalescingAndMemoShareOneKeyedPass) {
   NaruEstimator est(model.get(), ncfg, 0);
 
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 2});
-  std::vector<double> out;
-  engine.EstimateBatch(&est, queries, &out);
+  BatchEstimates(&engine, &est, queries);
   const auto cold = engine.stats();
 
   // Every computed distinct query consulted the memo exactly once and
@@ -296,7 +307,7 @@ TEST(InferenceEngine, CoalescingAndMemoShareOneKeyedPass) {
   // The workload carries duplicates; none of them reached the cache.
   EXPECT_LT(cold.memo_misses + 1, queries.size());
 
-  engine.EstimateBatch(&est, queries, &out);
+  BatchEstimates(&engine, &est, queries);
   const auto warm = engine.stats();
   EXPECT_EQ(warm.memo_misses, cold.memo_misses);  // warm pass misses nothing
   EXPECT_EQ(warm.memo_hits, cold.memo_misses);    // and hits every miss
@@ -320,11 +331,15 @@ TEST(InferenceEngine, MixedBatchGroupsByEstimator) {
   }
 
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 2});
-  std::vector<double> mixed;
-  engine.EstimateMixedBatch(ests, queries, &mixed);
+  std::vector<EstimateRequest> requests;
+  for (const Query& q : queries) requests.emplace_back(q);
+  std::vector<EstimateResult> mixed;
+  engine.EstimateMixedBatch(ests, requests, &mixed);
 
+  ASSERT_EQ(mixed.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(mixed[i], ests[i]->EstimateSelectivity(queries[i]))
+    ASSERT_TRUE(mixed[i].ok()) << "query " << i;
+    EXPECT_EQ(mixed[i].estimate, ests[i]->EstimateSelectivity(queries[i]))
         << "query " << i;
   }
 }
@@ -343,9 +358,9 @@ TEST(InferenceEngine, EstimatorsSharingOneModelDoNotShareMemoEntries) {
 
   const auto queries = ServingQueries(table, 47);
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 2});
-  std::vector<double> small_out, big_out;
-  engine.EstimateBatch(&small_est, queries, &small_out);
-  engine.EstimateBatch(&big_est, queries, &big_out);
+  BatchEstimates(&engine, &small_est, queries);
+  const std::vector<double> big_out =
+      BatchEstimates(&engine, &big_est, queries);
 
   // The second batch must not inherit the first estimator's memoized
   // sampled values — it uses a different path count over the same model.
@@ -394,9 +409,7 @@ TEST(InferenceEngine, PrefixSharingBitIdenticalAcrossThreadsAndShards) {
       InferenceEngineConfig ecfg;
       ecfg.num_threads = threads;
       InferenceEngine engine(ecfg);
-      std::vector<double> batched;
-      engine.EstimateBatch(&est, queries, &batched);
-      EXPECT_EQ(batched, sequential)
+      EXPECT_EQ(BatchEstimates(&engine, &est, queries), sequential)
           << "threads " << threads << " shard " << shard_size;
 
       const auto stats = engine.stats();
@@ -437,8 +450,7 @@ TEST(InferenceEngine, PlanLayoutIsResultInvariant) {
   planned_cfg.num_threads = 2;
   planned_cfg.enable_cache = false;
   InferenceEngine planned(planned_cfg);
-  std::vector<double> whole;
-  planned.EstimateBatch(&est, queries, &whole);
+  const std::vector<double> whole = BatchEstimates(&planned, &est, queries);
   EXPECT_GT(planned.stats().plan_batches, 0u);
 
   // Same queries in chunks of 5: different plans, same results.
@@ -447,8 +459,7 @@ TEST(InferenceEngine, PlanLayoutIsResultInvariant) {
     const size_t hi = std::min(queries.size(), lo + 5);
     std::vector<Query> chunk(queries.begin() + static_cast<ptrdiff_t>(lo),
                              queries.begin() + static_cast<ptrdiff_t>(hi));
-    std::vector<double> out;
-    planned.EstimateBatch(&est, chunk, &out);
+    const std::vector<double> out = BatchEstimates(&planned, &est, chunk);
     for (size_t i = lo; i < hi; ++i) chunked[i] = out[i - lo];
   }
   EXPECT_EQ(chunked, whole);
@@ -459,11 +470,9 @@ TEST(InferenceEngine, PlanLayoutIsResultInvariant) {
   }
 }
 
-// Tentpole of the typed-API redesign: the legacy double-returning
-// surfaces are thin adapters over EstimateRequest/EstimateResult, so for
-// default options all three — typed, legacy, sequential — must agree
+// For default options the typed batch and the sequential path must agree
 // bit-for-bit, and typed results must carry status/provenance/latency.
-TEST(InferenceEngine, TypedDefaultRequestsMatchLegacyDoubleApi) {
+TEST(InferenceEngine, TypedDefaultRequestsMatchSequential) {
   Table table = SmallTable(53);
   auto model = SmallTrainedModel(table, 53);
   const auto queries = ServingQueries(table, 59);
@@ -488,15 +497,10 @@ TEST(InferenceEngine, TypedDefaultRequestsMatchLegacyDoubleApi) {
   std::vector<EstimateResult> results;
   typed_engine.EstimateBatch(&est, requests, &results);
 
-  InferenceEngine legacy_engine(InferenceEngineConfig{.num_threads = 3});
-  std::vector<double> legacy;
-  legacy_engine.EstimateBatch(&est, queries, &legacy);
-
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << "query " << i;
     EXPECT_EQ(results[i].estimate, sequential[i]) << "query " << i;
-    EXPECT_EQ(results[i].estimate, legacy[i]) << "query " << i;
     EXPECT_NE(results[i].provenance, ResultProvenance::kUnknown)
         << "query " << i;
     EXPECT_GE(results[i].compute_ms, 0.0);
@@ -759,9 +763,7 @@ TEST(InferenceEngine, OracleModelServesConcurrently) {
     sequential.push_back(est.EstimateSelectivity(q));
   }
   InferenceEngine engine(InferenceEngineConfig{.num_threads = 4});
-  std::vector<double> batched;
-  engine.EstimateBatch(&est, queries, &batched);
-  EXPECT_EQ(batched, sequential);
+  EXPECT_EQ(BatchEstimates(&engine, &est, queries), sequential);
 }
 
 // Satellite of the overload-safety PR: expiry is INCLUSIVE at the
@@ -781,11 +783,11 @@ TEST(EstimateOptions, ExpiryIsInclusiveAtTheDeadlineInstant) {
   EXPECT_FALSE(options.ExpiredAt(t - std::chrono::nanoseconds(1)));
   EXPECT_TRUE(options.ExpiredAt(t + std::chrono::nanoseconds(1)));
 
-  // The shared raw-time_point form (the one the mid-walk checks mirror)
-  // agrees.
-  EXPECT_TRUE(EstimateOptions::Expired(t, t));
-  EXPECT_FALSE(EstimateOptions::Expired(t + std::chrono::nanoseconds(1), t));
-  EXPECT_FALSE(EstimateOptions::Expired(EstimateOptions::kNoDeadline, t));
+  // The shared raw-time_point predicate (the one WalkControl's mid-walk
+  // checks use) agrees.
+  EXPECT_TRUE(DeadlineExpired(t, t));
+  EXPECT_FALSE(DeadlineExpired(t + std::chrono::nanoseconds(1), t));
+  EXPECT_FALSE(DeadlineExpired(kNoDeadline, t));
 }
 
 // Headline bugfix of the overload-safety PR: compute_ms is attributed per
@@ -1048,20 +1050,18 @@ TEST(InferenceEngine, MidWalkDeadlineAbandonsExactEnumeration) {
   EXPECT_TRUE(std::isnan(direct.estimate));
 
   // ...and the enumerator primitive honors the contract directly: an
-  // expired deadline abandons (after at most one batch), no deadline
-  // completes with a sane selectivity.
-  bool abandoned = false;
-  const double v = EnumerateSelectivity(
-      est.model(), huge, /*batch=*/2048,
-      std::chrono::steady_clock::now() - std::chrono::milliseconds(1),
-      &abandoned);
-  EXPECT_TRUE(abandoned);
+  // expired control stops it (after at most one batch), a control
+  // without a deadline lets it complete with a sane selectivity.
+  WalkControl expired(std::chrono::steady_clock::now() -
+                      std::chrono::milliseconds(1));
+  const double v =
+      EnumerateSelectivity(est.model(), huge, /*batch=*/2048, &expired);
+  EXPECT_TRUE(expired.stopped());
   EXPECT_TRUE(std::isnan(v));
-  abandoned = false;
-  const double small_v = EnumerateSelectivity(est.model(), small_enum,
-                                              /*batch=*/2048, kNoDeadline,
-                                              &abandoned);
-  EXPECT_FALSE(abandoned);
+  WalkControl unbounded;
+  const double small_v =
+      EnumerateSelectivity(est.model(), small_enum, /*batch=*/2048, &unbounded);
+  EXPECT_FALSE(unbounded.stopped());
   EXPECT_TRUE(std::isfinite(small_v));
   EXPECT_GE(small_v, 0.0);
 }

@@ -48,6 +48,14 @@ std::unique_ptr<MadeModel> SmallTrainedModel(const Table& table,
   return model;
 }
 
+// The estimate a default-option submission resolved to. Default options
+// carry no deadline, so the result must be OK.
+double EstimateOf(std::future<EstimateResult>* future) {
+  const EstimateResult r = future->get();
+  EXPECT_TRUE(r.ok()) << r.status.ToString();
+  return r.estimate;
+}
+
 std::vector<Query> AsyncQueries(const Table& table, uint64_t seed) {
   WorkloadConfig wcfg;
   wcfg.num_queries = 20;
@@ -151,10 +159,12 @@ TEST(AsyncEngine, SubmitBitIdenticalToSequentialAcrossConfigs) {
     acfg.max_wait_ms = c.max_wait_ms;
     acfg.engine.num_threads = c.threads;
     AsyncEngine engine(acfg);
-    std::vector<std::future<double>> futures;
-    for (const auto& q : queries) futures.push_back(engine.Submit(&est, q));
+    std::vector<std::future<EstimateResult>> futures;
+    for (const auto& q : queries) {
+      futures.push_back(engine.Submit(&est, EstimateRequest(q)));
+    }
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(futures[i].get(), sequential[i])
+      EXPECT_EQ(EstimateOf(&futures[i]), sequential[i])
           << "query " << i << " threads=" << c.threads
           << " max_batch=" << c.max_batch << " wait=" << c.max_wait_ms;
     }
@@ -184,11 +194,11 @@ TEST(AsyncEngine, DeadlineFlushFiresWithoutFurtherSubmissions) {
   acfg.engine.num_threads = 2;
   AsyncEngine engine(acfg);
 
-  auto f0 = engine.Submit(&est, queries[0]);
-  auto f1 = engine.Submit(&est, queries[1]);
+  auto f0 = engine.Submit(&est, EstimateRequest(queries[0]));
+  auto f1 = engine.Submit(&est, EstimateRequest(queries[1]));
   // No Drain, no further submissions: the max-wait deadline must flush.
-  EXPECT_EQ(f0.get(), est.EstimateSelectivity(queries[0]));
-  EXPECT_EQ(f1.get(), est.EstimateSelectivity(queries[1]));
+  EXPECT_EQ(EstimateOf(&f0), est.EstimateSelectivity(queries[0]));
+  EXPECT_EQ(EstimateOf(&f1), est.EstimateSelectivity(queries[1]));
   EXPECT_GE(engine.async_stats().deadline_flushes, 1u);
 }
 
@@ -204,9 +214,10 @@ TEST(AsyncEngine, OnCompleteCallbackSeesTheResult) {
 
   AsyncEngine engine(AsyncEngineConfig{.max_batch_size = 4});
   double callback_value = -1.0;
-  auto fut = engine.Submit(&est, queries[0],
-                           [&](double sel) { callback_value = sel; });
-  const double sel = fut.get();  // sequences the callback's write
+  auto fut = engine.Submit(
+      &est, EstimateRequest(queries[0]),
+      [&](const EstimateResult& r) { callback_value = r.estimate; });
+  const double sel = EstimateOf(&fut);  // sequences the callback's write
   EXPECT_EQ(callback_value, sel);
   EXPECT_EQ(sel, est.EstimateSelectivity(queries[0]));
 }
@@ -234,14 +245,14 @@ TEST(AsyncEngine, ConcurrentSubmittersStayBitIdentical) {
 
   constexpr size_t kSubmitters = 4;
   constexpr size_t kRounds = 3;
-  std::vector<std::vector<std::future<double>>> futures(kSubmitters);
+  std::vector<std::vector<std::future<EstimateResult>>> futures(kSubmitters);
   {
     std::vector<std::thread> submitters;
     for (size_t t = 0; t < kSubmitters; ++t) {
       submitters.emplace_back([&, t] {
         for (size_t r = 0; r < kRounds; ++r) {
           for (const auto& q : queries) {
-            futures[t].push_back(engine.Submit(&est, q));
+            futures[t].push_back(engine.Submit(&est, EstimateRequest(q)));
           }
         }
       });
@@ -255,7 +266,7 @@ TEST(AsyncEngine, ConcurrentSubmittersStayBitIdentical) {
   EXPECT_EQ(stats.completed, stats.submitted);
   for (size_t t = 0; t < kSubmitters; ++t) {
     for (size_t i = 0; i < futures[t].size(); ++i) {
-      EXPECT_EQ(futures[t][i].get(), sequential[i % queries.size()])
+      EXPECT_EQ(EstimateOf(&futures[t][i]), sequential[i % queries.size()])
           << "submitter " << t << " request " << i;
     }
   }
@@ -285,14 +296,14 @@ TEST(AsyncEngine, LruBudgetHonoredUnderConcurrentSubmit) {
   AsyncEngine engine(acfg);
 
   constexpr size_t kSubmitters = 3;
-  std::vector<std::vector<std::future<double>>> futures(kSubmitters);
+  std::vector<std::vector<std::future<EstimateResult>>> futures(kSubmitters);
   {
     std::vector<std::thread> submitters;
     for (size_t t = 0; t < kSubmitters; ++t) {
       submitters.emplace_back([&, t] {
         for (size_t r = 0; r < 2; ++r) {
           for (const auto& q : queries) {
-            futures[t].push_back(engine.Submit(&est, q));
+            futures[t].push_back(engine.Submit(&est, EstimateRequest(q)));
           }
         }
       });
@@ -304,7 +315,7 @@ TEST(AsyncEngine, LruBudgetHonoredUnderConcurrentSubmit) {
   // Eviction churned the caches but never changed a value...
   for (size_t t = 0; t < kSubmitters; ++t) {
     for (size_t i = 0; i < futures[t].size(); ++i) {
-      ASSERT_EQ(futures[t][i].get(), sequential[i % queries.size()])
+      ASSERT_EQ(EstimateOf(&futures[t][i]), sequential[i % queries.size()])
           << "submitter " << t << " request " << i;
     }
   }
@@ -341,15 +352,16 @@ TEST(AsyncEngine, InFlightDuplicatesJoinTheirTwin) {
   AsyncEngine engine(acfg);
 
   std::atomic<size_t> callbacks{0};
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<EstimateResult>> futures;
   const size_t kCopies = 24;
   for (size_t i = 0; i < kCopies; ++i) {
-    futures.push_back(
-        engine.Submit(&est, hot, [&](double) { ++callbacks; }));
+    futures.push_back(engine.Submit(
+        &est, EstimateRequest(hot),
+        [&](const EstimateResult&) { ++callbacks; }));
   }
   engine.Drain();
 
-  for (auto& f : futures) EXPECT_EQ(f.get(), want);
+  for (auto& f : futures) EXPECT_EQ(EstimateOf(&f), want);
   EXPECT_EQ(callbacks.load(), kCopies);  // every duplicate's callback fired
 
   const auto stats = engine.async_stats();
@@ -363,10 +375,10 @@ TEST(AsyncEngine, InFlightDuplicatesJoinTheirTwin) {
   EXPECT_LT(stats.batches, kCopies);
 
   // Distinct queries never join each other.
-  auto fa = engine.Submit(&est, queries[1]);
-  auto fb = engine.Submit(&est, queries[2]);
-  EXPECT_EQ(fa.get(), est.EstimateSelectivity(queries[1]));
-  EXPECT_EQ(fb.get(), est.EstimateSelectivity(queries[2]));
+  auto fa = engine.Submit(&est, EstimateRequest(queries[1]));
+  auto fb = engine.Submit(&est, EstimateRequest(queries[2]));
+  EXPECT_EQ(EstimateOf(&fa), est.EstimateSelectivity(queries[1]));
+  EXPECT_EQ(EstimateOf(&fb), est.EstimateSelectivity(queries[2]));
 }
 
 // Drain must cover every pre-Drain submission even while another thread
@@ -390,14 +402,14 @@ TEST(AsyncEngine, DrainCoversPendingWorkDespiteConcurrentJoins) {
   acfg.engine.enable_cache = false;
   AsyncEngine engine(acfg);
 
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<EstimateResult>> futures;
   for (size_t i = 0; i < 5; ++i) {
-    futures.push_back(engine.Submit(&est, queries[i]));
+    futures.push_back(engine.Submit(&est, EstimateRequest(queries[i])));
   }
   // A side thread floods duplicates of the first query while we drain.
   std::atomic<bool> stop{false};
   std::thread joiner([&] {
-    while (!stop.load()) engine.Submit(&est, queries[0]);
+    while (!stop.load()) engine.Submit(&est, EstimateRequest(queries[0]));
   });
   engine.Drain();
   // Every pre-Drain future must be ready the moment Drain returns.
@@ -410,7 +422,7 @@ TEST(AsyncEngine, DrainCoversPendingWorkDespiteConcurrentJoins) {
   joiner.join();
   engine.Drain();
   for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), est.EstimateSelectivity(queries[i]));
+    EXPECT_EQ(EstimateOf(&futures[i]), est.EstimateSelectivity(queries[i]));
   }
 }
 
@@ -439,7 +451,7 @@ TEST(AsyncEngine, DestructorDeliversEverythingSubmittedBeforeIt) {
   }
 
   constexpr size_t kSubmitters = 3;
-  std::vector<std::vector<std::future<double>>> futures(kSubmitters);
+  std::vector<std::vector<std::future<EstimateResult>>> futures(kSubmitters);
   {
     AsyncEngineConfig acfg;
     acfg.max_batch_size = 4;
@@ -452,7 +464,7 @@ TEST(AsyncEngine, DestructorDeliversEverythingSubmittedBeforeIt) {
       submitters.emplace_back([&, t] {
         futures[t].reserve(queries.size());
         for (const auto& q : queries) {
-          futures[t].push_back(engine.Submit(&est, q));
+          futures[t].push_back(engine.Submit(&est, EstimateRequest(q)));
         }
       });
     }
@@ -470,17 +482,15 @@ TEST(AsyncEngine, DestructorDeliversEverythingSubmittedBeforeIt) {
                 std::future_status::ready)
           << "submitter " << t << " query " << i
           << " not delivered by the destructor";
-      EXPECT_EQ(futures[t][i].get(), sequential[i])
+      EXPECT_EQ(EstimateOf(&futures[t][i]), sequential[i])
           << "submitter " << t << " query " << i;
     }
   }
 }
 
-// Tentpole of the typed-API redesign: the legacy future<double> Submit is
-// a thin adapter over the typed surface, so both must agree bit-for-bit
-// with the sequential path, and typed results must carry provenance and
-// queue/compute latency attribution.
-TEST(AsyncEngine, TypedAndLegacySubmitAgreeWithSequential) {
+// Typed submissions agree bit-for-bit with the sequential path, and typed
+// results carry provenance and queue/compute latency attribution.
+TEST(AsyncEngine, TypedSubmitAgreesWithSequential) {
   Table table = SmallTable(23);
   auto model = SmallTrainedModel(table, 23);
   const auto queries = AsyncQueries(table, 95);
@@ -497,10 +507,8 @@ TEST(AsyncEngine, TypedAndLegacySubmitAgreeWithSequential) {
   AsyncEngine engine(acfg);
 
   std::vector<std::future<EstimateResult>> typed;
-  std::vector<std::future<double>> legacy;
   for (const auto& q : queries) {
     typed.push_back(engine.Submit(&est, EstimateRequest(q)));
-    legacy.push_back(engine.Submit(&est, q));
   }
   engine.Drain();
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -508,7 +516,6 @@ TEST(AsyncEngine, TypedAndLegacySubmitAgreeWithSequential) {
     const double want = est.EstimateSelectivity(queries[i]);
     ASSERT_TRUE(r.ok()) << "query " << i;
     EXPECT_EQ(r.estimate, want) << "query " << i;
-    EXPECT_EQ(legacy[i].get(), want) << "query " << i;
     EXPECT_NE(r.provenance, ResultProvenance::kUnknown);
     EXPECT_GE(r.queue_ms, 0.0);
     EXPECT_GE(r.compute_ms, 0.0);
@@ -1092,16 +1099,18 @@ TEST(AsyncEngine, DestructorDrainsPendingSubmissions) {
   ncfg.enumeration_threshold = 0;
   NaruEstimator est(model.get(), ncfg, 0);
 
-  std::vector<std::future<double>> futures;
+  std::vector<std::future<EstimateResult>> futures;
   {
     AsyncEngineConfig acfg;
     acfg.max_batch_size = 1000;   // would never flush by size
     acfg.max_wait_ms = 10000.0;   // nor by deadline within the test
     AsyncEngine engine(acfg);
-    for (const auto& q : queries) futures.push_back(engine.Submit(&est, q));
+    for (const auto& q : queries) {
+      futures.push_back(engine.Submit(&est, EstimateRequest(q)));
+    }
   }  // destruction must flush and deliver everything
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), est.EstimateSelectivity(queries[i]))
+    EXPECT_EQ(EstimateOf(&futures[i]), est.EstimateSelectivity(queries[i]))
         << "query " << i;
   }
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/csv.h"
+#include "util/deadline.h"
 #include "util/env_config.h"
 #include "util/quantile.h"
 #include "util/random.h"
@@ -284,6 +285,64 @@ TEST(ThreadAnnotations, CondVarWaitUntilTimesOutWithoutNotify) {
   cv.WaitUntil(mu, deadline);
   EXPECT_FALSE(TryLockFromOtherThread(&mu));  // lock re-acquired by waiter
   mu.Unlock();
+}
+
+TEST(WalkControl, WithoutDeadlineNeverStops) {
+  WalkControl control;
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(control.ShouldStop());
+  EXPECT_FALSE(control.stopped());
+  WalkControl explicit_none(kNoDeadline);
+  EXPECT_FALSE(explicit_none.ShouldStop());
+  EXPECT_FALSE(explicit_none.stopped());
+}
+
+TEST(WalkControl, PastDeadlineStopsAndStaysStopped) {
+  using Clock = std::chrono::steady_clock;
+  WalkControl control(Clock::now() - std::chrono::milliseconds(1));
+  EXPECT_FALSE(control.stopped());  // latched only by a check
+  EXPECT_TRUE(control.ShouldStop());
+  EXPECT_TRUE(control.stopped());
+  EXPECT_TRUE(control.ShouldStop());  // monotonic: never un-latches
+
+  // A deadline far in the future does not stop a walk.
+  WalkControl live(Clock::now() + std::chrono::hours(1));
+  EXPECT_FALSE(live.ShouldStop());
+  EXPECT_FALSE(live.stopped());
+}
+
+TEST(WalkControl, JoinKeepsTheLatestSharerAndNoDeadlineWins) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point early = Clock::now() - std::chrono::seconds(2);
+  const Clock::time_point late = Clock::now() - std::chrono::seconds(1);
+  EXPECT_EQ(WalkControl::Join(early, late), late);
+  EXPECT_EQ(WalkControl::Join(late, early), late);
+  EXPECT_EQ(WalkControl::Join(early, kNoDeadline), kNoDeadline);
+  EXPECT_EQ(WalkControl::Join(kNoDeadline, late), kNoDeadline);
+
+  // Two expired sharers: the shared walk stops.
+  WalkControl expired(WalkControl::Join(early, late));
+  EXPECT_TRUE(expired.ShouldStop());
+  // One sharer without a deadline keeps the shared walk alive.
+  WalkControl pinned(WalkControl::Join(early, kNoDeadline));
+  EXPECT_FALSE(pinned.ShouldStop());
+}
+
+TEST(WalkControl, EveryThreadSeesAnExpiredControlStop) {
+  WalkControl control(std::chrono::steady_clock::now() -
+                      std::chrono::milliseconds(1));
+  constexpr size_t kThreads = 4;
+  std::vector<int> saw_stop(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&control, &saw_stop, t] {
+      bool all = true;
+      for (int i = 0; i < 100; ++i) all = control.ShouldStop() && all;
+      saw_stop[t] = all ? 1 : 0;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) EXPECT_EQ(saw_stop[t], 1) << t;
+  EXPECT_TRUE(control.stopped());
 }
 
 }  // namespace

@@ -40,6 +40,15 @@ Rules enforced (each with an error code, listed per finding):
                  NARU_SEED. (steady_clock/system_clock durations for
                  latency measurement are fine and not flagged.)
 
+  WALK_CLOCK     src/core/ and src/plan/ must not call
+                 steady_clock::now() or DeadlineExpired( directly. A walk
+                 stops only through util/deadline.h's WalkControl, whose
+                 check skips the clock (and the latch) when the walk has
+                 no deadline; a direct clock read in a walk loop would
+                 charge every deadline-free walk for it, and a second
+                 expiry check could drift from the one latch every
+                 sharer of the walk reads.
+
 Exit status: 0 clean, 1 findings, 2 usage error. Findings print as
   <file>:<line>: [<RULE>] <message>
 """
@@ -74,6 +83,12 @@ ATOMIC_CALL_RE = re.compile(
 # (void)Identifier( — a discarded call. (void)identifier; (a variable) is
 # allowed.
 VOID_CALL_RE = re.compile(r"\(void\)\s*[A-Za-z_][A-Za-z0-9_:.\->]*\s*\(")
+
+# -- WALK_CLOCK ------------------------------------------------------------
+WALK_CLOCK_RE = re.compile(
+    r"steady_clock\s*::\s*now\s*\(|\bDeadlineExpired\s*\("
+)
+WALK_CLOCK_DIRS = {("src", "core"), ("src", "plan")}
 
 # -- NONDETERMINISM --------------------------------------------------------
 NONDET_RE = re.compile(
@@ -204,6 +219,21 @@ def main() -> int:
                     "VOID_CALL",
                     f"(void)-discarded call result `{m.group(0)}...`; handle "
                     "or propagate it (Status is [[nodiscard]] on purpose)",
+                )
+
+    # WALK_CLOCK over src/core + src/plan.
+    for path in src_files:
+        if path.relative_to(REPO).parts[:2] not in WALK_CLOCK_DIRS:
+            continue
+        for lineno, code in stripped_lines(path):
+            m = WALK_CLOCK_RE.search(code)
+            if m:
+                finding(
+                    path,
+                    lineno,
+                    "WALK_CLOCK",
+                    f"direct `{m.group(0).strip()}` in a walk layer; check "
+                    "a WalkControl (util/deadline.h) instead",
                 )
 
     # NODISCARD on Status.
