@@ -1,8 +1,10 @@
-// Micro-benchmark for the kernel layer (tensor/gemm_simd.cc): GFLOP/s of
-// scalar vs SIMD vs int8 GEMM at the shapes the MADE serving path actually
-// runs, plus the NT head-reuse shapes (a small one and the perfbench
-// column-6 head). Single-threaded on purpose (ScopedSerialRegion) so the
-// numbers measure the kernels, not the pool.
+// Micro-benchmark for the kernel layer (tensor/gemm.cc, gemm_simd.cc):
+// GFLOP/s of scalar vs SIMD vs int8 GEMM at the shapes the MADE serving
+// path actually runs, plus the NT head-reuse shapes (a small one and the
+// perfbench column-6 head). Single-threaded on purpose
+// (ScopedSerialRegion) so the numbers measure the kernels, not the pool.
+// The banner and the JSON config (`scalar_tile_cols`) name the scalar
+// kernel's tile width on this host.
 //
 // Emits BENCH_micro_gemm.json (shared schema, see bench_common.h) with one
 // row per (shape, kernel): GFLOP/s, speedup over scalar at the same shape,
@@ -201,9 +203,14 @@ bool RunWalkRows(double min_seconds, size_t rows, BenchJsonWriter* json,
 int Run() {
   const bool smoke = GetEnvBool("NARU_SMOKE", false);
   const double min_seconds = smoke ? 0.02 : 0.25;
+  // The scalar kernel's register tile: 4x16 (256-bit) on AVX2 hosts, else
+  // 4x8 (128-bit). Same bits either way, different speed.
+  const size_t scalar_tile_cols = ScalarTileCols();
   PrintBanner("Micro GEMM: scalar vs simd vs simd_int8",
-              StrFormat("%s; window=%.0fms%s", SimdDispatchString().c_str(),
-                        min_seconds * 1e3, smoke ? " (smoke)" : ""));
+              StrFormat("%s; scalar tile 4x%zu (%zu-bit); window=%.0fms%s",
+                        SimdDispatchString().c_str(), scalar_tile_cols,
+                        scalar_tile_cols * 16, min_seconds * 1e3,
+                        smoke ? " (smoke)" : ""));
 
   const Case cases[] = {
       // The MADE hidden-layer shape (batch=samples-shard, 128->128): the
@@ -223,6 +230,7 @@ int Run() {
   BenchJsonWriter json("micro_gemm");
   json.SetConfig("smoke", smoke);
   json.SetConfig("min_seconds", min_seconds);
+  json.SetConfig("scalar_tile_cols", scalar_tile_cols);
 
   std::printf("\n%-20s %-14s %-10s %10s %9s %12s\n", "shape", "m x k x n",
               "kernel", "gflops", "speedup", "max_rel_err");

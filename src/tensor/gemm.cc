@@ -14,8 +14,8 @@ namespace {
 constexpr size_t kMinRowsPerTask = 16;
 
 // The scalar kernel: one register-tiled micro-kernel behind dense GemmNN
-// and GemmNT. It holds a kTileRows x kTileCols block of C in registers for
-// the whole k loop.
+// and GemmNT. It holds a kTileRows-row block of C in registers for the
+// whole k loop.
 //
 // Bit contract, per C element: one chain of separately rounded multiplies
 // and adds (no FMA; CMakeLists.txt pins -ffp-contract=off) over ascending
@@ -24,74 +24,123 @@ constexpr size_t kMinRowsPerTask = 16;
 // (NN) and dot-product (NT) loops, so the tiling changes speed, never
 // bits, and no element depends on which tile or row partition it sits in.
 //
-// Quad is a 16-byte GCC/Clang generic vector, the width every baseline
-// ISA holds in one register (SSE2 on x86-64, NEON on aarch64); a tile row
-// is two Quads. Lanes never mix: each one is an independent element chain.
+// One template builds the tile at two widths; a tile row is two GCC/Clang
+// generic vectors. Vec128 (16 bytes) is the width every baseline ISA holds
+// in one register (SSE2 on x86-64, NEON on aarch64): a 4x8 tile, the only
+// one on aarch64 and on x86 without AVX2. Vec256 (32 bytes), compiled
+// under target("avx2") and picked when DetectedSimdLevel() finds AVX2,
+// makes a 4x16 tile of ymm registers. Lanes never mix: each one is an
+// independent element chain, so both widths give the same bits (the avx2
+// target has no fma, and the build forbids contraction anyway).
 constexpr size_t kTileRows = 4;
-constexpr size_t kTileCols = 8;
-typedef float Quad __attribute__((vector_size(16)));
-constexpr size_t kQuadFloats = sizeof(Quad) / sizeof(float);
+typedef float Vec128 __attribute__((vector_size(16)));
+typedef float Vec256 __attribute__((vector_size(32)));
+template <typename V>
+constexpr size_t kLanes = sizeof(V) / sizeof(float);
+// The widest tile's columns; GemmNT pads its packed panel to a multiple.
+constexpr size_t kMaxTileCols = 2 * kLanes<Vec256>;
 
-// One tile: R rows of C at `c`, columns [0, width) with width <= kTileCols.
-// `b` points at row 0 of a (k x >=kTileCols) panel with leading dim ldb;
-// all kTileCols floats of each panel row (and of C, when chaining from C)
-// must be readable, which padded Matrix strides and the NT packing
-// guarantee. Lanes at or past `width` are computed and discarded, so C's
-// padding is never written.
-template <size_t R>
-void ScalarTile(const float* a, size_t lda, const float* b, size_t ldb,
-                float* c, size_t ldc, size_t k, size_t width, bool from_c) {
-  Quad lo[R] = {}, hi[R] = {};
+// One tile: R rows of C at `c`, columns [0, width) with width <= 2 * lanes.
+// `b` points at row 0 of a (k x >=2*lanes) panel with leading dim ldb; all
+// 2 * lanes floats of each panel row (and of C, when chaining from C) must
+// be readable, which padded Matrix strides and the NT packing guarantee.
+// Lanes at or past `width` are computed and discarded, so C's padding is
+// never written.
+template <typename V, size_t R>
+[[gnu::always_inline]] inline void ScalarTile(const float* a, size_t lda,
+                                              const float* b, size_t ldb,
+                                              float* c, size_t ldc, size_t k,
+                                              size_t width, bool from_c) {
+  constexpr size_t kL = kLanes<V>;
+  V lo[R] = {}, hi[R] = {};
   for (size_t r = 0; r < R && from_c; ++r) {
-    std::memcpy(&lo[r], c + r * ldc, sizeof(Quad));
-    std::memcpy(&hi[r], c + r * ldc + kQuadFloats, sizeof(Quad));
+    std::memcpy(&lo[r], c + r * ldc, sizeof(V));
+    std::memcpy(&hi[r], c + r * ldc + kL, sizeof(V));
   }
   for (size_t kk = 0; kk < k; ++kk) {
-    Quad b0{}, b1{};
-    std::memcpy(&b0, b + kk * ldb, sizeof(Quad));
-    std::memcpy(&b1, b + kk * ldb + kQuadFloats, sizeof(Quad));
+    V b0, b1;
+    std::memcpy(&b0, b + kk * ldb, sizeof(V));
+    std::memcpy(&b1, b + kk * ldb + kL, sizeof(V));
     for (size_t r = 0; r < R; ++r) {
+      // A scalar operand is broadcast to every lane.
       const float x = a[r * lda + kk];
-      const Quad av = {x, x, x, x};
-      lo[r] = lo[r] + av * b0;
-      hi[r] = hi[r] + av * b1;
+      lo[r] = lo[r] + x * b0;
+      hi[r] = hi[r] + x * b1;
     }
   }
   for (size_t r = 0; r < R; ++r) {
     if (!from_c) {
-      Quad c0{}, c1{};
-      std::memcpy(&c0, c + r * ldc, sizeof(Quad));
-      std::memcpy(&c1, c + r * ldc + kQuadFloats, sizeof(Quad));
+      V c0, c1;
+      std::memcpy(&c0, c + r * ldc, sizeof(V));
+      std::memcpy(&c1, c + r * ldc + kL, sizeof(V));
       lo[r] = c0 + lo[r];
       hi[r] = c1 + hi[r];
     }
-    float out[kTileCols];
-    std::memcpy(out, &lo[r], sizeof(Quad));
-    std::memcpy(out + kQuadFloats, &hi[r], sizeof(Quad));
+    float out[2 * kL];
+    std::memcpy(out, &lo[r], sizeof(V));
+    std::memcpy(out + kL, &hi[r], sizeof(V));
     std::memcpy(c + r * ldc, out, width * sizeof(float));
   }
 }
 
 // C rows [lo, hi), logical columns [0, n): (+)= A * B, with B a (k x n)
 // panel as ScalarTile requires. Leftover rows run the same tile with R = 1.
-void ScalarRows(const float* a, size_t lda, const float* b, size_t ldb,
-                float* c, size_t ldc, size_t lo, size_t hi, size_t k,
-                size_t n, bool from_c) {
+template <typename V>
+[[gnu::always_inline]] inline void TiledRows(const float* a, size_t lda,
+                                             const float* b, size_t ldb,
+                                             float* c, size_t ldc, size_t lo,
+                                             size_t hi, size_t k, size_t n,
+                                             bool from_c) {
+  constexpr size_t kCols = 2 * kLanes<V>;
   size_t i = lo;
   for (; i + kTileRows <= hi; i += kTileRows) {
-    for (size_t j = 0; j < n; j += kTileCols) {
-      ScalarTile<kTileRows>(a + i * lda, lda, b + j, ldb, c + i * ldc + j,
-                            ldc, k, std::min(kTileCols, n - j), from_c);
+    for (size_t j = 0; j < n; j += kCols) {
+      ScalarTile<V, kTileRows>(a + i * lda, lda, b + j, ldb, c + i * ldc + j,
+                               ldc, k, std::min(kCols, n - j), from_c);
     }
   }
   for (; i < hi; ++i) {
-    for (size_t j = 0; j < n; j += kTileCols) {
-      ScalarTile<1>(a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc, k,
-                    std::min(kTileCols, n - j), from_c);
+    for (size_t j = 0; j < n; j += kCols) {
+      ScalarTile<V, 1>(a + i * lda, lda, b + j, ldb, c + i * ldc + j, ldc, k,
+                       std::min(kCols, n - j), from_c);
     }
   }
 }
+
+// Whether ScalarRows runs the 256-bit tile: x86 hosts whose probe finds
+// AVX2 (a test override can force the 128-bit tile there).
+bool WideScalarTile() {
+#if defined(__x86_64__) || defined(__i386__)
+  return DetectedSimdLevel() == SimdLevel::kAvx2;
+#else
+  return false;
+#endif
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("avx2"))) void TiledRows256(
+    const float* a, size_t lda, const float* b, size_t ldb, float* c,
+    size_t ldc, size_t lo, size_t hi, size_t k, size_t n, bool from_c) {
+  TiledRows<Vec256>(a, lda, b, ldb, c, ldc, lo, hi, k, n, from_c);
+}
+#endif
+
+void ScalarRows(const float* a, size_t lda, const float* b, size_t ldb,
+                float* c, size_t ldc, size_t lo, size_t hi, size_t k,
+                size_t n, bool from_c) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (WideScalarTile()) {
+    TiledRows256(a, lda, b, ldb, c, ldc, lo, hi, k, n, from_c);
+    return;
+  }
+#endif
+  TiledRows<Vec128>(a, lda, b, ldb, c, ldc, lo, hi, k, n, from_c);
+}
 }  // namespace
+
+size_t ScalarTileCols() {
+  return WideScalarTile() ? 2 * kLanes<Vec256> : 2 * kLanes<Vec128>;
+}
 
 void GemmNN(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate,
             KernelKind kernel, InputHint hint) {
@@ -176,7 +225,7 @@ void GemmNT(const Matrix& a, const Matrix& b, Matrix* c, bool accumulate,
   // serving allocates nothing here; pool workers read it while this thread
   // waits in ParallelFor.
   thread_local std::vector<float> packed;
-  const size_t ldp = (n + kTileCols - 1) / kTileCols * kTileCols;
+  const size_t ldp = (n + kMaxTileCols - 1) / kMaxTileCols * kMaxTileCols;
   if (packed.size() < k * ldp) packed.resize(k * ldp);
   float* const bt = packed.data();
   for (size_t j = 0; j < n; ++j) {

@@ -9,7 +9,8 @@
 //
 // GemmNN and GemmNT take a KernelKind: kScalar runs the portable
 // register-tiled reference kernel in gemm.cc (per element: separately
-// rounded multiply and add, ascending k, no FMA), kSimd (and kSimdInt8,
+// rounded multiply and add, ascending k, no FMA; the same bits at either
+// tile width), kSimd (and kSimdInt8,
 // which only differs at the layer level — see quant.h) runs the
 // cache-blocked SIMD kernels in gemm_simd.cc behind runtime CPU dispatch
 // (kernel.h). GemmTN is training-only and stays scalar.
@@ -48,6 +49,11 @@ void GemmNT(const Matrix& a, const Matrix& b, Matrix* c,
 /// pays there).
 void GemmTN(const Matrix& a, const Matrix& b, Matrix* c,
             bool accumulate = false);
+
+/// Columns of the scalar kernel's register tile on this host: 16 (256-bit
+/// vectors) where DetectedSimdLevel() finds AVX2 on x86, else 8 (128-bit).
+/// Both widths give the same bits; benches report which one ran.
+size_t ScalarTileCols();
 
 /// Adds a length-N bias row to every row of C(MxN).
 void AddBiasRows(const Matrix& bias, Matrix* c);

@@ -1,9 +1,15 @@
 // Kernel selection and runtime CPU dispatch for the tensor layer.
 //
 // The inference path can run on one of three kernel families:
-//   kScalar   — the original ikj loops in gemm.cc; always available, the
-//               correctness reference, and the default (existing bit-identity
-//               tests pin it).
+//   kScalar   — the register-tiled kernel in gemm.cc; always available, the
+//               correctness reference, and the default (the golden table
+//               pins it). Bit contract: each C element is one chain of
+//               separately rounded multiplies and adds (no FMA) over
+//               ascending k, from C's value (NN) or from +0 then added to
+//               C (NT): the bits of the plain ikj and dot-product loops.
+//               The tile is 4x16 of 256-bit vectors when DetectedSimdLevel()
+//               finds AVX2 on x86, else 4x8 of 128-bit vectors (SSE2,
+//               NEON); both widths give the same bits.
 //   kSimd     — cache-blocked fp32 kernels with explicit SIMD inner loops
 //               (AVX2/FMA on x86, NEON on ARM, portable blocked fallback
 //               elsewhere), selected at runtime via DetectedSimdLevel().

@@ -12,9 +12,10 @@
 //     stay exactly zero, and GemmNNInt8 matches the scalar GEMM over the
 //     dequantized weights within epsilon.
 //   - The scalar kernel's bit contract: the register-tiled GemmNN/GemmNT
-//     reproduce the plain ikj and dot-product loops bit for bit, across
-//     every tile seam, on -0, subnormal, infinite and NaN inputs, without
-//     reading A's padding or writing C's.
+//     reproduce the plain ikj and dot-product loops bit for bit, at both
+//     tile widths (128- and 256-bit vectors), across every tile seam, on
+//     -0, subnormal, infinite and NaN inputs, without reading A's padding
+//     or writing C's.
 //   - Matrix storage: 64-byte row alignment, padded stride, the
 //     zero-padding invariant, and the Resize preservation contract.
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -350,13 +352,16 @@ void ExpectSameBits(const Matrix& want, const Matrix& got,
   }
 }
 
-TEST(GemmScalar, TiledMatchesReference) {
+// Calls fn(shape, a, b_nn, b_nt, base) for each (m, k, n) of a sweep of
+// edge-case operands: rows cross the 4-row tile and its 1-row remainder,
+// the `ns` columns cross the 8- and 16-column tiles, their partial last
+// tiles, and the 16-float row padding.
+template <typename Fn>
+void ForEachEdgeCase(std::initializer_list<size_t> ns, Fn&& fn) {
   const float kNaN = std::numeric_limits<float>::quiet_NaN();
   Rng rng(41);
-  // Rows cross the 4-row tile and its 1-row remainder; columns cross the
-  // 8-column tile, its partial last tile, and the 16-float row padding.
   for (const size_t m : {1, 3, 4, 5, 7, 1000}) {
-    for (const size_t n : {1, 2, 8, 13, 16, 17, 75, 1175}) {
+    for (const size_t n : ns) {
       for (const size_t k : {1, 13, 64, 397}) {
         // The deep reduction runs on the small row counts only; the
         // 1000-row cases already cross every seam at k <= 64.
@@ -380,22 +385,70 @@ TEST(GemmScalar, TiledMatchesReference) {
                                        [](size_t r, size_t c) {
                                          return (r + c) % 11 == 0;
                                        });
-        for (const bool accumulate : {false, true}) {
-          const std::string what =
-              shape + (accumulate ? " accumulate" : " overwrite");
-          Matrix want = base, got = base;
-          ReferenceNN(a, b_nn, &want, accumulate);
-          GemmNN(a, b_nn, &got, accumulate, KernelKind::kScalar);
-          ExpectSameBits(want, got, "NN " + what);
-          want = base;
-          got = base;
-          ReferenceNT(a, b_nt, &want, accumulate);
-          GemmNT(a, b_nt, &got, accumulate, KernelKind::kScalar);
-          ExpectSameBits(want, got, "NT " + what);
-        }
+        fn(shape, a, b_nn, b_nt, base);
       }
     }
   }
+}
+
+void CheckTiledMatchesReference() {
+  ForEachEdgeCase({1, 2, 8, 13, 16, 17, 75, 1175}, [](const std::string& shape,
+                                                      const Matrix& a,
+                                                      const Matrix& b_nn,
+                                                      const Matrix& b_nt,
+                                                      const Matrix& base) {
+    for (const bool accumulate : {false, true}) {
+      const std::string what =
+          shape + (accumulate ? " accumulate" : " overwrite");
+      Matrix want = base, got = base;
+      ReferenceNN(a, b_nn, &want, accumulate);
+      GemmNN(a, b_nn, &got, accumulate, KernelKind::kScalar);
+      ExpectSameBits(want, got, "NN " + what);
+      want = base;
+      got = base;
+      ReferenceNT(a, b_nt, &want, accumulate);
+      GemmNT(a, b_nt, &got, accumulate, KernelKind::kScalar);
+      ExpectSameBits(want, got, "NT " + what);
+    }
+  });
+}
+
+// At the tile width this host dispatches to (16 columns on AVX2 hosts).
+TEST(GemmScalar, TiledMatchesReference) { CheckTiledMatchesReference(); }
+
+// At the 128-bit tile, the only one on aarch64 and on x86 without AVX2.
+TEST(GemmScalar, TiledMatchesReferenceNarrow) {
+  ScopedSimdLevel narrow(SimdLevel::kNone);
+  ASSERT_EQ(ScalarTileCols(), 8u);
+  CheckTiledMatchesReference();
+}
+
+// The two widths against each other, whole padded rows bit for bit: the
+// same element chains, and C's padding left as it was.
+TEST(GemmScalar, WideTileMatchesNarrowTile) {
+  if (ScalarTileCols() != 16) {
+    GTEST_SKIP() << "no 256-bit scalar tile on this host";
+  }
+  ForEachEdgeCase({13, 16, 17, 1175}, [](const std::string& shape,
+                                         const Matrix& a, const Matrix& b_nn,
+                                         const Matrix& b_nt,
+                                         const Matrix& base) {
+    for (const bool accumulate : {false, true}) {
+      const std::string what =
+          shape + (accumulate ? " accumulate" : " overwrite");
+      Matrix wide_nn = base, narrow_nn = base, wide_nt = base,
+             narrow_nt = base;
+      GemmNN(a, b_nn, &wide_nn, accumulate, KernelKind::kScalar);
+      GemmNT(a, b_nt, &wide_nt, accumulate, KernelKind::kScalar);
+      {
+        ScopedSimdLevel narrow(SimdLevel::kNone);
+        GemmNN(a, b_nn, &narrow_nn, accumulate, KernelKind::kScalar);
+        GemmNT(a, b_nt, &narrow_nt, accumulate, KernelKind::kScalar);
+      }
+      ExpectSameBits(narrow_nn, wide_nn, "NN " + what);
+      ExpectSameBits(narrow_nt, wide_nt, "NT " + what);
+    }
+  });
 }
 
 TEST(Quantize, RoundTripWithinHalfStep) {
