@@ -352,10 +352,17 @@ void ExpectSameBits(const Matrix& want, const Matrix& got,
   }
 }
 
-// Calls fn(shape, a, b_nn, b_nt, base) for each (m, k, n) of a sweep of
-// edge-case operands: rows cross the 4-row tile and its 1-row remainder,
-// the `ns` columns cross the 8- and 16-column tiles, their partial last
-// tiles, and the 16-float row padding.
+// One case of the edge-case sweep: A, B for NN (k x n) and for NT
+// (n x k), and the C that GemmNN/GemmNT start from.
+struct EdgeCase {
+  std::string shape;
+  Matrix a, b_nn, b_nt, base;
+};
+
+// Calls fn(const EdgeCase&) for each (m, k, n) of the sweep: rows cross
+// the 4-row tile and its 1-row remainder, the `ns` columns cross the 8-
+// and 16-column tiles, their partial last tiles, and the 16-float row
+// padding.
 template <typename Fn>
 void ForEachEdgeCase(std::initializer_list<size_t> ns, Fn&& fn) {
   const float kNaN = std::numeric_limits<float>::quiet_NaN();
@@ -366,49 +373,43 @@ void ForEachEdgeCase(std::initializer_list<size_t> ns, Fn&& fn) {
         // The deep reduction runs on the small row counts only; the
         // 1000-row cases already cross every seam at k <= 64.
         if (m == 1000 && k == 397) continue;
-        const std::string shape = "m=" + std::to_string(m) +
-                                  " k=" + std::to_string(k) +
-                                  " n=" + std::to_string(n);
+        EdgeCase e;
+        e.shape = "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                  " n=" + std::to_string(n);
         // A's padding is NaN: reading it would poison a logical output.
-        const Matrix a = EdgeMatrix(m, k, kNaN, &rng, [](size_t r, size_t) {
-          return r % 5 == 2;
-        });
+        e.a = EdgeMatrix(m, k, kNaN, &rng,
+                         [](size_t r, size_t) { return r % 5 == 2; });
         // Non-finite values in a few output columns only (B's columns for
         // NN, B's rows for NT).
-        const Matrix b_nn = EdgeMatrix(k, n, kNaN, &rng, [](size_t, size_t c) {
-          return c % 7 == 3;
+        e.b_nn = EdgeMatrix(k, n, kNaN, &rng,
+                            [](size_t, size_t c) { return c % 7 == 3; });
+        e.b_nt = EdgeMatrix(n, k, kNaN, &rng,
+                            [](size_t r, size_t) { return r % 7 == 3; });
+        e.base = EdgeMatrix(m, n, 12345.0f, &rng, [](size_t r, size_t c) {
+          return (r + c) % 11 == 0;
         });
-        const Matrix b_nt = EdgeMatrix(n, k, kNaN, &rng, [](size_t r, size_t) {
-          return r % 7 == 3;
-        });
-        const Matrix base = EdgeMatrix(m, n, 12345.0f, &rng,
-                                       [](size_t r, size_t c) {
-                                         return (r + c) % 11 == 0;
-                                       });
-        fn(shape, a, b_nn, b_nt, base);
+        fn(e);
       }
     }
   }
 }
 
+std::string CaseName(const EdgeCase& e, bool accumulate) {
+  return e.shape + (accumulate ? " accumulate" : " overwrite");
+}
+
 void CheckTiledMatchesReference() {
-  ForEachEdgeCase({1, 2, 8, 13, 16, 17, 75, 1175}, [](const std::string& shape,
-                                                      const Matrix& a,
-                                                      const Matrix& b_nn,
-                                                      const Matrix& b_nt,
-                                                      const Matrix& base) {
+  ForEachEdgeCase({1, 2, 8, 13, 16, 17, 75, 1175}, [](const EdgeCase& e) {
     for (const bool accumulate : {false, true}) {
-      const std::string what =
-          shape + (accumulate ? " accumulate" : " overwrite");
-      Matrix want = base, got = base;
-      ReferenceNN(a, b_nn, &want, accumulate);
-      GemmNN(a, b_nn, &got, accumulate, KernelKind::kScalar);
-      ExpectSameBits(want, got, "NN " + what);
-      want = base;
-      got = base;
-      ReferenceNT(a, b_nt, &want, accumulate);
-      GemmNT(a, b_nt, &got, accumulate, KernelKind::kScalar);
-      ExpectSameBits(want, got, "NT " + what);
+      Matrix want = e.base, got = e.base;
+      ReferenceNN(e.a, e.b_nn, &want, accumulate);
+      GemmNN(e.a, e.b_nn, &got, accumulate, KernelKind::kScalar);
+      ExpectSameBits(want, got, "NN " + CaseName(e, accumulate));
+      want = e.base;
+      got = e.base;
+      ReferenceNT(e.a, e.b_nt, &want, accumulate);
+      GemmNT(e.a, e.b_nt, &got, accumulate, KernelKind::kScalar);
+      ExpectSameBits(want, got, "NT " + CaseName(e, accumulate));
     }
   });
 }
@@ -429,24 +430,19 @@ TEST(GemmScalar, WideTileMatchesNarrowTile) {
   if (ScalarTileCols() != 16) {
     GTEST_SKIP() << "no 256-bit scalar tile on this host";
   }
-  ForEachEdgeCase({13, 16, 17, 1175}, [](const std::string& shape,
-                                         const Matrix& a, const Matrix& b_nn,
-                                         const Matrix& b_nt,
-                                         const Matrix& base) {
+  ForEachEdgeCase({13, 16, 17, 1175}, [](const EdgeCase& e) {
     for (const bool accumulate : {false, true}) {
-      const std::string what =
-          shape + (accumulate ? " accumulate" : " overwrite");
-      Matrix wide_nn = base, narrow_nn = base, wide_nt = base,
-             narrow_nt = base;
-      GemmNN(a, b_nn, &wide_nn, accumulate, KernelKind::kScalar);
-      GemmNT(a, b_nt, &wide_nt, accumulate, KernelKind::kScalar);
+      Matrix wide_nn = e.base, narrow_nn = e.base;
+      Matrix wide_nt = e.base, narrow_nt = e.base;
+      GemmNN(e.a, e.b_nn, &wide_nn, accumulate, KernelKind::kScalar);
+      GemmNT(e.a, e.b_nt, &wide_nt, accumulate, KernelKind::kScalar);
       {
         ScopedSimdLevel narrow(SimdLevel::kNone);
-        GemmNN(a, b_nn, &narrow_nn, accumulate, KernelKind::kScalar);
-        GemmNT(a, b_nt, &narrow_nt, accumulate, KernelKind::kScalar);
+        GemmNN(e.a, e.b_nn, &narrow_nn, accumulate, KernelKind::kScalar);
+        GemmNT(e.a, e.b_nt, &narrow_nt, accumulate, KernelKind::kScalar);
       }
-      ExpectSameBits(narrow_nn, wide_nn, "NN " + what);
-      ExpectSameBits(narrow_nt, wide_nt, "NT " + what);
+      ExpectSameBits(narrow_nn, wide_nn, "NN " + CaseName(e, accumulate));
+      ExpectSameBits(narrow_nt, wide_nt, "NT " + CaseName(e, accumulate));
     }
   });
 }
