@@ -19,7 +19,7 @@
 #include "bench_common.h"
 #include "core/enumerator.h"
 #include "core/generator.h"
-#include "core/sampler.h"
+#include "core/naru_estimator.h"
 #include "util/string_util.h"
 
 namespace naru {
@@ -47,14 +47,11 @@ int Run() {
   ErrorReport uniform("uniform-region");
   ErrorReport rejection("rejection");
 
-  ProgressiveSamplerConfig pcfg;
+  NaruEstimatorConfig pcfg;
   pcfg.num_samples = kSamples;
-  pcfg.seed = env.seed + 11;
-  ProgressiveSampler psampler(model.get(), pcfg);
-
-  ProgressiveSamplerConfig ucfg = pcfg;
-  ucfg.uniform_region = true;
-  ProgressiveSampler usampler(model.get(), ucfg);
+  pcfg.sampler_seed = env.seed + 11;
+  pcfg.enumeration_threshold = 0;
+  NaruEstimator naru_est(model.get(), pcfg, 0);
 
   const double rows = static_cast<double>(table.num_rows());
   size_t uniform_zeros = 0, rejection_zeros = 0;
@@ -62,10 +59,11 @@ int Run() {
     const Query& q = workload.queries[qi];
     const double actual = static_cast<double>(workload.cards[qi]);
 
-    const double p_est = psampler.EstimateSelectivity(q);
+    const double p_est = naru_est.EstimateSelectivity(q);
     progressive.Add(p_est * rows, actual, workload.sels[qi]);
 
-    const double u_est = usampler.EstimateSelectivity(q);
+    const double u_est = UniformRegionSelectivity(model.get(), q, kSamples,
+                                                  pcfg.sampler_seed);
     uniform_zeros += (u_est == 0.0 && actual > 0);
     uniform.Add(u_est * rows, actual, workload.sels[qi]);
 
@@ -90,7 +88,7 @@ int Run() {
     if (q.Log10RegionSize() > 4.0) continue;
     const double exact = EnumerateSelectivity(model.get(), q);
     if (exact <= 0) continue;
-    const double est = psampler.EstimateSelectivity(q);
+    const double est = naru_est.EstimateSelectivity(q);
     const double ratio = est > exact ? est / exact : exact / est;
     worst_ratio = std::max(worst_ratio, ratio);
     ++checked;

@@ -1,14 +1,16 @@
 // §5.1 ablation: progressive sampling vs the uniform-region strawman.
 //
 // Both samplers integrate the same trained model over the same queries with
-// the same path budget, through the sequential ProgressiveSampler (the
-// strawman is a sampler mode, not a serving option). Expected shape (the
+// the same path budget: progressive sampling through NaruEstimator with
+// enumeration off, the strawman through UniformRegionSelectivity
+// (core/generator.h; an ablation, not a serving option). Expected shape (the
 // paper's motivating failure): uniform sampling returns ~zero mass on most
 // range queries over skewed, correlated data, collapsing at the tail, while
 // progressive sampling stays accurate with the same number of paths.
 #include <cstdio>
 
 #include "bench_common.h"
+#include "core/generator.h"
 #include "util/string_util.h"
 
 namespace naru {
@@ -30,18 +32,21 @@ int Run() {
   std::vector<std::unique_ptr<ErrorReport>> reports;
   for (bool uniform : {false, true}) {
     for (size_t paths : {size_t{2000}}) {
-      ProgressiveSamplerConfig scfg;
-      scfg.num_samples = paths;
-      scfg.seed = env.seed + 6;
-      scfg.uniform_region = uniform;
-      ProgressiveSampler sampler(model.get(), scfg);
+      NaruEstimatorConfig ncfg;
+      ncfg.num_samples = paths;
+      ncfg.sampler_seed = env.seed + 6;
+      ncfg.enumeration_threshold = 0;
+      NaruEstimator progressive(model.get(), ncfg, 0);
       reports.push_back(std::make_unique<ErrorReport>(
           StrFormat("%s-%zu", uniform ? "Uniform" : "Progr", paths)));
       for (size_t i = 0; i < test.queries.size(); ++i) {
-        reports.back()->Add(
-            sampler.EstimateSelectivity(test.queries[i]) *
-                static_cast<double>(n),
-            static_cast<double>(test.cards[i]), test.sels[i]);
+        const Query& q = test.queries[i];
+        const double sel =
+            uniform ? UniformRegionSelectivity(model.get(), q, paths,
+                                               ncfg.sampler_seed)
+                    : progressive.EstimateSelectivity(q);
+        reports.back()->Add(sel * static_cast<double>(n),
+                            static_cast<double>(test.cards[i]), test.sels[i]);
       }
     }
   }
@@ -50,16 +55,15 @@ int Run() {
   PrintErrorTable("Errors grouped by true selectivity:", rows);
 
   // Count uniform-sampler zero estimates (the paper's collapse symptom).
-  ProgressiveSamplerConfig ucfg;
-  ucfg.num_samples = 4000;
-  ucfg.uniform_region = true;
-  ProgressiveSampler uniform(model.get(), ucfg);
   size_t zeros = 0;
   size_t nonzero_truth = 0;
   for (size_t i = 0; i < test.queries.size(); ++i) {
     if (test.cards[i] == 0) continue;
     ++nonzero_truth;
-    if (uniform.EstimateSelectivity(test.queries[i]) * n < 0.5) ++zeros;
+    if (UniformRegionSelectivity(model.get(), test.queries[i], 4000) * n <
+        0.5) {
+      ++zeros;
+    }
   }
   std::printf("\n# uniform sampler returned ~0 on %zu / %zu queries with "
               "true matches\n",

@@ -5,8 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "core/made.h"
+#include "core/naru_estimator.h"
 #include "core/oracle_model.h"
-#include "core/sampler.h"
 #include "data/datasets.h"
 #include "query/executor.h"
 #include "query/workload.h"
@@ -107,13 +107,14 @@ void BM_ProgressiveSampling(benchmark::State& state) {
   wcfg.num_queries = 8;
   wcfg.seed = 3;
   const auto queries = GenerateWorkload(f->table, wcfg);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = paths;
-  ProgressiveSampler sampler(&f->model, scfg);
+  NaruEstimatorConfig ncfg;
+  ncfg.num_samples = paths;
+  ncfg.enumeration_threshold = 0;
+  NaruEstimator estimator(&f->model, ncfg, 0);
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sampler.EstimateSelectivity(queries[i++ % queries.size()]));
+        estimator.EstimateSelectivity(queries[i++ % queries.size()]));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(paths));
@@ -130,13 +131,14 @@ void BM_OracleSession(benchmark::State& state) {
   wcfg.max_filters = 12;
   wcfg.seed = 9;
   const auto queries = GenerateWorkload(*table, wcfg);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 1000;
-  ProgressiveSampler sampler(&oracle, scfg);
+  NaruEstimatorConfig ncfg;
+  ncfg.num_samples = 1000;
+  ncfg.enumeration_threshold = 0;
+  NaruEstimator estimator(&oracle, ncfg, 0);
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sampler.EstimateSelectivity(queries[i++ % queries.size()]));
+        estimator.EstimateSelectivity(queries[i++ % queries.size()]));
   }
 }
 BENCHMARK(BM_OracleSession)->Unit(benchmark::kMillisecond);

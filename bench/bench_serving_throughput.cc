@@ -1,12 +1,13 @@
 // Serving throughput: queries/sec of the batched, thread-parallel
-// InferenceEngine versus the sequential one-query-at-a-time path.
+// InferenceEngine versus serving one query at a time on one thread.
 //
 // Workload model: a serving TRACE, not a one-shot evaluation set. A query
 // optimizer enumerating join orders (or a dashboard refreshing panels)
 // re-issues many identical cardinality requests, so the trace draws
 // `serve-requests` requests uniformly from a pool of `serve-unique`
-// distinct query templates. The sequential baseline (threads=1 / batch=1,
-// the pre-engine serving path) recomputes every request from scratch;
+// distinct query templates. The sequential baseline (threads=1 / batch=1:
+// NaruEstimator::EstimateSelectivity, a one-query plan that bypasses the
+// caches, in a serial region) recomputes every request from scratch;
 // engine configurations amortize across the batch with shard-parallel
 // sampling, shared workspaces, and exact-result caches.
 //
@@ -43,8 +44,8 @@
 //   --group-width W     plan fork fan-out cap: auto (width-aware, the
 //                       default) or a fixed positive integer
 //   --smoke             CI preset: tiny model/trace, single grid point;
-//                       exits nonzero if the engine's estimates diverge
-//                       from the sequential path, if a kernel is
+//                       exits nonzero if the engine's estimates differ
+//                       from the sequential baseline's, if a kernel is
 //                       non-deterministic across thread counts, or if
 //                       int8's median q-error shifts >5% vs fp32
 #include <algorithm>
@@ -175,8 +176,8 @@ int Run() {
               "batch", "qps", "speedup", "memo", "sampled", "trees", "share",
               "depth");
 
-  // Baseline: the sequential pre-engine path — one thread, one query at a
-  // time, no cross-query sharing of any kind.
+  // Baseline: one thread, one query at a time (each a one-query plan that
+  // bypasses the caches), no cross-query sharing of any kind.
   std::vector<double> reference(trace.size());
   double baseline_qps;
   {

@@ -89,6 +89,27 @@ Result<std::unique_ptr<MadeModel>> LoadModelBundle(const std::string& path) {
         StrFormat("bundle %s: domains (%zu) inconsistent with columns (%zu)",
                   path.c_str(), domains.size(), columns));
   }
+  // Zero sizes would trip the model constructor's checks and abort the
+  // loading process; a manifest is outside input, so refuse them here.
+  for (size_t c = 0; c < domains.size(); ++c) {
+    if (domains[c] == 0) {
+      return Status::InvalidArgument(StrFormat(
+          "bundle %s: column %zu has an empty domain", path.c_str(), c));
+    }
+    const bool embedded = domains[c] > cfg.encoder.onehot_threshold &&
+                          !cfg.encoder.binary_for_large;
+    if (embedded && cfg.encoder.embed_dim == 0) {
+      return Status::InvalidArgument(StrFormat(
+          "bundle %s: column %zu is embedded with embed_dim 0", path.c_str(),
+          c));
+    }
+  }
+  for (size_t h : cfg.hidden_sizes) {
+    if (h == 0) {
+      return Status::InvalidArgument(
+          StrFormat("bundle %s: a hidden layer has 0 units", path.c_str()));
+    }
+  }
   auto model = std::make_unique<MadeModel>(domains, cfg);
   NARU_RETURN_NOT_OK(model->Load(path + ".weights"));
   return model;

@@ -30,9 +30,9 @@ namespace naru {
 /// in order: col = 0, 1, 2, ..., writing only column col-1 of each row
 /// between the calls for col-1 and col (sampling writes the drawn value;
 /// dead paths write a fallback code). Rows may be rearranged between two
-/// calls, announced by Relayout (below). ProgressiveSampler and
-/// TupleGenerator never rearrange; the sampling-plan executor does at
-/// every fork or retire boundary.
+/// calls, announced by Relayout (below). TupleGenerator never
+/// rearranges; the sampling-plan executor does at every fork or retire
+/// boundary.
 class SamplingSession {
  public:
   virtual ~SamplingSession() = default;

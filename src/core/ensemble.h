@@ -44,7 +44,7 @@ class MultiOrderEnsemble : public Estimator {
   /// Mean of the member estimates.
   double EstimateSelectivity(const Query& query) override;
   /// Mean of the member batch estimates (each member serves the batch
-  /// through its own serving engine; results match the sequential path).
+  /// through its own serving engine; results match EstimateSelectivity).
   void EstimateBatch(const std::vector<Query>& queries,
                      std::vector<double>* out) override;
   /// Sum of member model sizes.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/sampler.h"
 #include "util/macros.h"
 
 namespace naru {
@@ -126,6 +127,45 @@ double RejectionSelectivity(ConditionalModel* model, const Query& query,
     done += chunk;
   }
   return static_cast<double>(hits) / static_cast<double>(num_samples);
+}
+
+double UniformRegionSelectivity(ConditionalModel* model, const Query& query,
+                                size_t num_samples, uint64_t seed) {
+  NARU_CHECK(num_samples > 0);
+  NARU_CHECK(model->num_columns() == model->num_table_columns());
+  if (query.HasEmptyRegion()) return 0.0;
+  constexpr size_t kShard = 128;
+  const size_t n = model->num_columns();
+  IntMatrix samples;
+  Matrix probs;
+  std::vector<double> weights;
+  double sum = 0;
+  for (size_t k = 0; k < SamplerNumShards(num_samples, kShard); ++k) {
+    const size_t rows = std::min(kShard, num_samples - k * kShard);
+    Rng rng(SamplerShardSeed(seed, k));
+    samples.Resize(rows, n);
+    samples.Fill(0);
+    weights.assign(rows, 1.0);
+    // Uniform draws from R_1 x ... x R_n, each weighted by |R| · P̂(x)
+    // (naive Monte Carlo integration over the region).
+    auto session = model->StartSession(rows);
+    for (size_t col = 0; col < n; ++col) {
+      const ValueSet& region = query.region(model->TableColumnOf(col));
+      const size_t count = region.Count();
+      session->Dist(samples, col, &probs);
+      for (size_t r = 0; r < rows; ++r) {
+        const int32_t v = region.NthCode(rng.UniformInt(count));
+        const double p =
+            static_cast<double>(probs.At(r, static_cast<size_t>(v)));
+        weights[r] *= p * static_cast<double>(count);
+        samples.At(r, col) = v;
+      }
+    }
+    double shard_sum = 0;
+    for (double w : weights) shard_sum += w;
+    sum += shard_sum;
+  }
+  return sum / static_cast<double>(num_samples);
 }
 
 IndependenceMhChain::IndependenceMhChain(ConditionalModel* model,

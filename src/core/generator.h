@@ -10,6 +10,9 @@
 //  - Rejection (indicator) estimation: sel ≈ mean 1[x ∈ R] over ancestral
 //    samples — unbiased but useless for small regions; the natural third
 //    point in the uniform-vs-progressive integrator ablation.
+//  - Uniform-region estimation: the paper's §5.1 strawman ("first
+//    attempt"), uniform draws from the region importance-weighted by
+//    |R| · P̂(x); it collapses on skewed data and exists for the ablation.
 //  - Weighted in-region draws: the progressive walk returned as
 //    (tuple, weight) pairs. The proposal density is q(x) = P̂(x) / w(x)
 //    with w(x) the path weight, so these double as importance samples for
@@ -68,6 +71,15 @@ class TupleGenerator {
 /// which is exactly what the integrator ablation demonstrates.
 double RejectionSelectivity(ConditionalModel* model, const Query& query,
                             size_t num_samples, uint64_t seed = 13);
+
+/// Selectivity by the §5.1 strawman: mean of |R| · P̂(x) over points x
+/// drawn uniformly from the query region R. Unbiased, but its variance
+/// explodes when the mass concentrates in a small part of R. Paths run in
+/// shards of 128, shard k on the stream SamplerShardSeed(seed, k). Takes
+/// no exact shortcut but the empty region (0); models whose positions
+/// subdivide table columns are not supported.
+double UniformRegionSelectivity(ConditionalModel* model, const Query& query,
+                                size_t num_samples, uint64_t seed = 7);
 
 /// True when `row` (table order) satisfies every region of `query`.
 bool RowSatisfies(const Query& query, const int32_t* row);

@@ -1,11 +1,12 @@
 // The end-to-end Naru estimator (§4, §5): a trained autoregressive model
 // queried through progressive sampling, with exact enumeration for small
-// query regions. Batched estimation is served through an InferenceEngine
-// (src/serve), which shards sample paths across threads and shares
-// workspaces and exact-result caches across the queries of a batch;
-// streaming submission goes through serve/async_engine.h. For a fixed seed
-// the batched and streamed results are identical to the sequential ones
-// (see docs/SERVING.md for the full determinism contract).
+// query regions. Every estimate is served through an InferenceEngine
+// (src/serve): a single Estimate is a one-request batch, so it takes the
+// same resolve step and the same plan executor as batched and streamed
+// serving (serve/async_engine.h). The engine shards sample paths across
+// threads and shares workspaces and exact-result caches across the queries
+// of a batch. For a fixed seed every route gives the same bits (see
+// docs/SERVING.md for the full determinism contract).
 #pragma once
 
 #include <memory>
@@ -30,8 +31,11 @@ struct NaruEstimatorConfig {
   /// enumeration instead of sampling (0 disables enumeration).
   size_t enumeration_threshold = 10000;
   uint64_t sampler_seed = 7;
-  /// Sample-path shard size (see ProgressiveSamplerConfig::shard_size).
-  /// Part of the RNG-stream contract: changing it changes every sampled
+  /// Paths are walked in shards of exactly this many (the last shard takes
+  /// the remainder). The shard is the unit of determinism AND of
+  /// parallelism: per-shard RNG streams are derived from (seed, shard)
+  /// (SamplerShardSeed), so the thread count never changes an estimate.
+  /// Changing this value — including its default — changes every sampled
   /// estimate for a given seed, so it participates in serving memo keys.
   size_t shard_size = 128;
   /// Kernel family for the model's inference forward passes (tensor layer;
@@ -55,12 +59,12 @@ class NaruEstimator : public Estimator {
 
   std::string name() const override { return name_; }
 
-  /// The typed sequential path: one request in, one EstimateResult out —
-  /// estimate, Status (DEADLINE_EXCEEDED when the request's deadline has
-  /// already passed), std-error when sampled, provenance, samples used.
-  /// Engine-free: no caches, no batching, no threads beyond the
-  /// sampler's own — this is the reference computation every serving
-  /// surface must reproduce bit-identically for default options.
+  /// One request in, one EstimateResult out — estimate, Status
+  /// (DEADLINE_EXCEEDED when the request's deadline passes before or
+  /// during the computation), std-error when sampled, provenance, samples
+  /// used. Served by the private engine as a one-request batch with
+  /// CachePolicy::kBypass: no cache is read or written, and the result is
+  /// bit-identical to the same request inside any batch.
   EstimateResult Estimate(const Query& query,
                           const EstimateOptions& options = {});
   EstimateResult Estimate(const EstimateRequest& request) {
@@ -78,8 +82,7 @@ class NaruEstimator : public Estimator {
   size_t SizeBytes() const override { return model_size_bytes_; }
 
   /// True when `query`'s region is small enough for exact enumeration
-  /// under this config. Exposed so the serving engine applies exactly the
-  /// same policy as the sequential path.
+  /// under this config (the serving engine's resolve step asks).
   bool ShouldEnumerate(const Query& query) const;
 
   /// Drops the private serving engine's cached results for this model.
@@ -93,13 +96,16 @@ class NaruEstimator : public Estimator {
   ProgressiveSampler* sampler() { return &sampler_; }
 
  private:
+  /// The private serving engine, built on first use.
+  InferenceEngine* engine();
+
   ConditionalModel* model_;
   NaruEstimatorConfig config_;
   ProgressiveSampler sampler_;
   size_t model_size_bytes_;
   std::string name_;
-  std::once_flag engine_once_;               // EstimateBatch may race on first use
-  std::unique_ptr<InferenceEngine> engine_;  // lazily built by EstimateBatch
+  std::once_flag engine_once_;
+  std::unique_ptr<InferenceEngine> engine_;
 };
 
 }  // namespace naru

@@ -1,8 +1,8 @@
-// Progressive sampling: unbiased Monte Carlo range-density estimation (§5.1,
-// Algorithm 1).
+// Progressive sampling primitives: unbiased Monte Carlo range-density
+// estimation (§5.1, Algorithm 1).
 //
-// For each of S sample paths, the sampler walks columns in model order.
-// At column i it asks the model for P̂(X_i | sampled prefix), masks the
+// For each of S sample paths, a walk visits columns in model order. At
+// column i it asks the model for P̂(X_i | sampled prefix), masks the
 // distribution to the query region R_i, multiplies the path weight by the
 // contained mass P̂(X_i ∈ R_i | prefix), and draws the next prefix value
 // from the renormalized truncated distribution. The mean of the S path
@@ -12,17 +12,16 @@
 // remaining masses is identically 1, so the early exit is exact).
 //
 // Execution model: the S paths are cut into fixed-size SHARDS. Each shard
-// draws from its own RNG stream derived from (seed, shard index) and walks
-// its paths through a private SamplingSession using a SamplerWorkspace
-// leased from a pool, so shards can run concurrently on a thread pool when
-// the model allows it (ConditionalModel::SupportsConcurrentSampling). The
-// shard layout and the final shard-order reduction are independent of the
-// thread count, so estimates are bit-identical for a fixed seed whether the
-// walk runs on one thread or many.
-//
-// A `uniform_region` mode implements the paper's strawman (§5.1 "first
-// attempt"): sample uniformly from the region and importance-weight by
-// |R| · P̂(x); it collapses on skewed data and exists for the ablation.
+// draws from its own RNG stream derived from (seed, shard index)
+// (SamplerShardSeed) and walks its paths in a SamplerWorkspace leased from
+// a pool, so shards can run concurrently. The shard layout and the final
+// shard-order reduction are independent of the thread count, so estimates
+// are bit-identical for a fixed seed whether the walk runs on one thread or
+// many. The one walk that uses these pieces is the plan executor
+// (plan/plan_executor.h); NaruEstimator::Estimate serves a single query as
+// a one-query plan. ProgressiveSampler keeps only the routing decision
+// (Classify) and the exact leading-only answer the engine resolves before
+// any walk.
 #pragma once
 
 #include <memory>
@@ -30,10 +29,8 @@
 
 #include "core/conditional_model.h"
 #include "query/query.h"
-#include "util/deadline.h"
 #include "util/random.h"
 #include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 
 namespace naru {
 
@@ -101,10 +98,9 @@ class WorkspaceLease {
   std::unique_ptr<SamplerWorkspace> ws_;
 };
 
-/// One query's block of sample paths inside a (possibly stacked) walk.
-/// The sequential sampler uses a block spanning a whole workspace
-/// (row_offset 0); the plan executor (src/plan) points blocks at row
-/// ranges of one stacked matrix shared by every branch of a plan tree.
+/// One query's block of sample paths inside a stacked walk: the plan
+/// executor (src/plan) points blocks at row ranges of one stacked matrix
+/// shared by every branch of a plan tree.
 struct SamplerRowBlock {
   IntMatrix* samples = nullptr;  ///< sampled prefix codes (stacked rows)
   Matrix* probs = nullptr;       ///< this column's conditionals, row-aligned
@@ -118,9 +114,8 @@ struct SamplerRowBlock {
 /// per path, mask the conditional to the query region, fold the contained
 /// mass into the path weight, and draw the next prefix code from the
 /// truncated distribution (wildcard columns contribute mass exactly 1 and
-/// draw from the full conditional). This is THE per-row walk kernel —
-/// shared by ProgressiveSampler and the plan executor so the planned path
-/// is bit-identical to the sequential one by construction.
+/// draw from the full conditional). This is THE per-row walk kernel of
+/// the plan executor.
 void SamplerColumnStep(const ConditionalModel* model, const Query& query,
                        size_t col, bool wildcard,
                        const SamplerRowBlock& block, Rng* rng);
@@ -134,69 +129,13 @@ uint64_t SamplerShardSeed(uint64_t seed, size_t shard);
 /// Shard count for `num_samples` paths in shards of `shard_size`.
 size_t SamplerNumShards(size_t num_samples, size_t shard_size);
 
-struct ProgressiveSamplerConfig {
-  /// Number of sample paths S (the paper's Naru-1000/2000/4000 suffix).
-  size_t num_samples = 1000;
-  /// Paths are processed in shards of exactly this many (last shard takes
-  /// the remainder). The shard is the unit of determinism AND of
-  /// parallelism: per-shard RNG streams are derived from (seed, shard), so
-  /// changing the thread count never changes an estimate. It also bounds
-  /// workspace memory and amortizes model forward passes (per-row forward
-  /// cost is flat from 128 rows up, so small shards cost nothing there).
-  /// NOTE: because the shard layout defines the RNG streams, changing
-  /// this value — including its default — changes every estimate for a
-  /// given seed and invalidates any memoized results.
-  size_t shard_size = 128;
-  uint64_t seed = 7;
-  /// Use the uniform-region strawman instead of progressive sampling.
-  bool uniform_region = false;
-};
-
-/// The sequential reference walk. Shards run on the process-global pool
-/// when the model supports concurrent sampling (a caller's
-/// ScopedSerialRegion keeps them on the calling thread); results never
-/// depend on the thread count.
+/// How a query is routed before any walk. Does not own the model.
 class ProgressiveSampler {
  public:
-  ProgressiveSampler(ConditionalModel* model, ProgressiveSamplerConfig cfg);
+  explicit ProgressiveSampler(ConditionalModel* model) : model_(model) {}
 
-  /// Unbiased estimate of the query's selectivity.
-  double EstimateSelectivity(const Query& query);
-
-  /// As EstimateSelectivity, and also reports the Monte Carlo standard
-  /// error of the estimate (sample stddev of the path weights / sqrt(S)).
-  /// Exact answers (empty region, all-wildcard, single leading filter)
-  /// report 0. A ±2·stderr interval is the usual ~95% confidence band an
-  /// optimizer can use to decide whether to spend more sample paths.
-  double EstimateWithStdError(const Query& query, double* std_error);
-
-  /// Per-call request options (NaruEstimator::Estimate): a sample budget
-  /// and a stop signal.
-  struct RunOptions {
-    /// Per-call sample-path budget: 0 = inherit config. A nonzero value
-    /// serves this call with that many paths — bit-identical to a sampler
-    /// configured with the same num_samples (the shard layout and RNG
-    /// streams depend only on (seed, shard_size, num_samples)). Carries
-    /// EstimateRequest's per-request budget (serve/request.h).
-    size_t num_samples = 0;
-    /// Stop signal of the walk (nullptr = run to completion; see
-    /// util/deadline.h). Checked BETWEEN column steps of the sampled walk
-    /// — never inside a kernel, so a walk that runs to completion is
-    /// bit-identical to an uncontrolled one. Once it stops, every shard
-    /// of the walk is given up, control->stopped() is true and the
-    /// returned estimate is NaN — the caller must replace it with a typed
-    /// DEADLINE_EXCEEDED status. Exact shortcut paths (empty,
-    /// all-wildcard, leading-only) never stop; the uniform-region
-    /// strawman is checked only between shards.
-    WalkControl* control = nullptr;
-  };
-
-  /// As EstimateWithStdError with per-call options.
-  double EstimateWithOptions(const Query& query, double* std_error,
-                             const RunOptions& options);
-
-  /// How a query will be answered. The serving engine routes on this so
-  /// its fast paths can never diverge from the sampler's own.
+  /// How a query will be answered when it is not enumerated. The serving
+  /// engine routes on this.
   enum class Path {
     kEmpty,        ///< some region empty: exactly 0
     kAllWildcard,  ///< no constrained position: exactly 1
@@ -211,32 +150,11 @@ class ProgressiveSampler {
   /// Exposed so the serving engine can cache it keyed on the masked region.
   double LeadingOnlyMass(const Query& query);
 
-  /// Shard count for the configured S (diagnostics/tests).
-  size_t NumShards() const;
-
-  const ProgressiveSamplerConfig& config() const { return cfg_; }
-
  private:
-  /// Walks one shard of `rows` paths; returns the shard's weight sum and
-  /// adds squared weights into *weight_sq_sum. `control` (shared by every
-  /// shard of the walk) is checked between column steps: once it stops,
-  /// every shard bails at its next column boundary and the caller
-  /// discards the partial sums.
-  double ShardWeightSum(const Query& query, size_t rows, int last_col,
-                        Rng* rng, SamplerWorkspace* ws,
-                        double* weight_sq_sum, WalkControl* control);
-  double UniformShardWeightSum(const Query& query, size_t rows, Rng* rng,
-                               SamplerWorkspace* ws);
-
-  /// Independent RNG stream for shard `shard` of a fixed seed.
-  static uint64_t ShardSeed(uint64_t seed, size_t shard);
-
   /// Last constrained model position of `query`, or -1 if none.
   int LastConstrainedPosition(const Query& query) const;
 
   ConditionalModel* model_;
-  ProgressiveSamplerConfig cfg_;
-  SamplerWorkspacePool workspaces_;
 };
 
 }  // namespace naru

@@ -331,7 +331,9 @@ Status DecodeFrame(std::string_view payload, Frame* out) {
       if (code > static_cast<uint8_t>(StatusCode::kResourceExhausted)) {
         return Malformed("status code out of range");
       }
-      if (provenance > static_cast<uint8_t>(ResultProvenance::kShed)) {
+      // Code 4 is retired (request.h) and never produced.
+      if (provenance > static_cast<uint8_t>(ResultProvenance::kShed) ||
+          provenance == 4) {
         return Malformed("provenance out of range");
       }
       msg->status_code = static_cast<StatusCode>(code);

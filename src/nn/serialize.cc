@@ -47,8 +47,12 @@ Status SaveParameters(const std::string& path,
 
 Status LoadParameters(const std::string& path,
                       const std::vector<Parameter*>& params) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is.good()) return Status::IOError("cannot open: " + path);
+  // Lengths read from the file are checked against what is left of it
+  // before anything is allocated for them.
+  const std::streamoff file_size = is.tellg();
+  is.seekg(0);
   char magic[8];
   is.read(magic, sizeof(magic));
   if (!is.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -62,6 +66,12 @@ Status LoadParameters(const std::string& path,
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t name_len = 0;
     if (!ReadPod(is, &name_len)) return Status::IOError("truncated file");
+    if (static_cast<std::streamoff>(name_len) > file_size - is.tellg()) {
+      return Status::IOError(StrFormat(
+          "parameter name length %u exceeds the %lld bytes left in %s",
+          name_len, static_cast<long long>(file_size - is.tellg()),
+          path.c_str()));
+    }
     std::string name(name_len, '\0');
     is.read(name.data(), name_len);
     uint64_t rows = 0;

@@ -39,7 +39,7 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
   std::vector<uint8_t>* alive = &ws->alive;
   std::vector<uint8_t>* spare_alive = &ws->spare_alive;
 
-  // The root's block: a fresh shard walk, exactly the sequential start.
+  // The root's block: a fresh shard walk, exactly a lone query's start.
   std::vector<FrontierEntry> entries;
   entries.push_back(FrontierEntry{0, Rng(SamplerShardSeed(seed, shard))});
   samples->Resize(rows, n);
@@ -100,7 +100,7 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
         }
         // Queries finishing in this segment: the block's weights are
         // their complete walk (their last constrained column is col-1) —
-        // the same sums the sequential shard would reduce.
+        // the same sums the query's own shard walk would reduce.
         for (size_t q : node.terminals) {
           double sum = 0;
           double sq = 0;
@@ -114,7 +114,7 @@ void RunTreeShard(ConditionalModel* model, const SamplingPlan& plan,
         }
         // Fork: every child continues from an identical copy of the walk
         // state — block AND RNG stream — which is exactly where each
-        // child's sequential walk would stand after these columns.
+        // child's own walk would stand after these columns.
         for (size_t child : node.children) {
           copy_block_to(next.size());
           next.push_back(FrontierEntry{child, e.rng});
@@ -214,10 +214,11 @@ void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
                  max_shards, ws.get(), &shard_w, &shard_w2, &controls[tree]);
   };
 
-  // Same scheduling discipline as ProgressiveSampler: shard/tree
-  // parallelism only on concurrent-capable models, a caller's serial
-  // region wins, and whenever coarse parallelism is available the
-  // kernels inside run inline so thread accounting stays honest.
+  // Shard/tree parallelism only on concurrent-capable models, a caller's
+  // serial region wins, and whenever coarse parallelism is available the
+  // kernels inside run inline so thread accounting stays honest. Without
+  // shard parallelism (one task, or a model without concurrent sessions)
+  // the kernels keep their internal pool parallelism.
   const bool concurrent_ok = model->SupportsConcurrentSampling();
   const bool parallel =
       concurrent_ok && num_tasks > 1 && !ScopedSerialRegion::Active();
@@ -238,9 +239,8 @@ void ExecuteSamplingPlan(ConditionalModel* model, const SamplingPlan& plan,
     for (size_t t = 0; t < num_tasks; ++t) run_task(t);
   }
 
-  // Reduce in shard order per query — independent of execution order, and
-  // the same arithmetic as ProgressiveSampler::EstimateWithOptions. Each
-  // query reduces over ITS budget's shard count. Members of a stopped
+  // Reduce in shard order per query — independent of execution order.
+  // Each query reduces over ITS budget's shard count. Members of a stopped
   // tree have incomplete shard sums: they report a typed
   // DEADLINE_EXCEEDED instead of a value.
   for (size_t q = 0; q < m; ++q) {

@@ -10,7 +10,7 @@
 //      an identical column step across the node's segment (all wildcard,
 //      or all constrained by the same region), so one block serves them
 //      all: the (samples, weights, liveness, RNG state) after the segment
-//      is what EVERY member's sequential walk would hold there.
+//      is what EVERY member's own walk would hold there.
 //   2. At a column where some frontier node's segment ends, the stacked
 //      row layout is rebuilt: the node's terminal queries reduce their
 //      weight sums from the node's block (their walk is complete), and
@@ -25,12 +25,13 @@
 //      SamplerColumnStep kernel with its own RNG.
 //
 // Determinism: per member query, the draws consumed and the arithmetic
-// applied are those of ProgressiveSampler's sequential shard walk — forks
-// copy RNG state exactly where the sequential walks coincide, and every
-// kernel on the stacked evaluation path is row-independent — so estimates
-// (and standard errors) are bit-identical to the sequential path for a
-// fixed seed, regardless of tree shape, batch composition, or thread
-// count.
+// applied are those of Algorithm 1 run for that query alone, shard by
+// shard — forks copy RNG state exactly where the members' walks coincide,
+// and every kernel on the stacked evaluation path is row-independent — so
+// estimates (and standard errors) are bit-identical to a one-query plan
+// for a fixed seed, regardless of tree shape, batch composition, or thread
+// count. tests/reference_walk.h writes that per-query walk out plainly;
+// the tests compare this executor with it bit for bit.
 #pragma once
 
 #include <vector>
@@ -42,9 +43,10 @@
 
 namespace naru {
 
-/// Execution knobs. Sampling fields mirror ProgressiveSamplerConfig (and
-/// are part of the RNG-stream contract); execution fields only move work
-/// between threads and never affect a result.
+/// Execution knobs. Sampling fields carry NaruEstimatorConfig's
+/// num_samples, shard_size and sampler_seed (and are part of the
+/// RNG-stream contract); execution fields only move work between threads
+/// and never affect a result.
 struct PlanExecutionOptions {
   /// Default sample-path budget; a PlanTree carrying a nonzero
   /// num_samples (a per-request budget from serve/request.h) overrides it
@@ -63,9 +65,9 @@ struct PlanExecutionOptions {
 
 /// Runs `plan` against `model`; (*estimates)[i] is the unbiased
 /// selectivity estimate for plan.queries[i] — bit-identical to
-/// ProgressiveSampler::EstimateWithStdError under the same
-/// (num_samples, shard_size, seed). `std_errors` (optional) receives the
-/// matching Monte Carlo standard errors. Serves every ConditionalModel.
+/// plan.queries[i] run alone under the same (num_samples, shard_size,
+/// seed). `std_errors` (optional) receives the matching Monte Carlo
+/// standard errors. Serves every ConditionalModel.
 ///
 /// Mid-walk stop: each tree's walk has one WalkControl (util/deadline.h)
 /// whose deadline is the join of its members' deadlines — the latest, or

@@ -1,11 +1,11 @@
 // Sampling plans: compiled batch execution layouts for progressive
 // sampling.
 //
-// The sequential sampler (§5.1, Algorithm 1) walks every query of a batch
-// independently, re-deriving per-column wildcard flags and early-exit
-// points on every shard and re-running the model forward pass once per
-// (query, column, shard). A SamplingPlan moves all of that to compile
-// time, before any walk starts:
+// Progressive sampling (§5.1, Algorithm 1) run query by query would walk
+// every query of a batch independently, re-deriving per-column wildcard
+// flags and early-exit points on every shard and re-running the model
+// forward pass once per (query, column, shard). A SamplingPlan moves all
+// of that to compile time, before any walk starts:
 //
 //   - per-query region-mask metadata is materialized once (wildcard flag
 //     per model position, last constrained position, leading-wildcard run
@@ -30,8 +30,8 @@
 //
 // The tree layout only decides WHERE rows sit in stacked matrices and
 // which columns are walked once instead of per query — never what is
-// computed — so estimates are bit-identical to the sequential path for
-// any tree shape (the test oracle throughout src/plan).
+// computed — so estimates are bit-identical to a one-query plan for any
+// tree shape (tests check both against tests/reference_walk.h).
 #pragma once
 
 #include <chrono>
@@ -114,7 +114,7 @@ struct SamplingPlan {
   std::vector<QueryPlan> queries;
   std::vector<PlanTree> trees;
 
-  /// Per-shard column-walks the sequential path would run: Σ (last_col+1).
+  /// Per-shard column-walks without sharing: Σ (last_col+1).
   size_t WalkColumns() const;
   /// Per-shard column-walks saved by segment sharing:
   /// Σ_nodes (end - begin) · (queries under node - 1).

@@ -38,10 +38,9 @@
 //
 // Determinism contract: a request's estimate is independent of which
 // micro-batch it lands in. EstimateBatch coalesces duplicates and serves
-// every distinct (query, budget) through the fixed-seed sharded sampler,
-// and every cache entry is exact, so for a fixed seed Submit() returns a
-// value bit-identical to the sequential
-// NaruEstimator::EstimateSelectivity — regardless of arrival order,
+// every distinct (query, budget) through the fixed-seed sharded plan
+// executor, and every cache entry is exact, so for a fixed seed Submit()
+// returns a value bit-identical to NaruEstimator::Estimate — regardless of arrival order,
 // batching boundaries, priority interleaving, thread count, or cache
 // eviction history (asserted in tests/test_serving_async.cc).
 #pragma once

@@ -106,11 +106,10 @@ std::string FormatEngineStats(const EngineStats& stats) {
       stats.queries, stats.sampled, stats.enumerated, stats.exact_shortcuts,
       stats.shed_deadline, stats.shed_midwalk, stats.shed_admission);
   out += StrFormat(
-      "# results: %zu cache_hit / %zu exact / %zu enumerated / %zu sampled "
-      "/ %zu planned_group / %zu shed; %zu priority flushes\n",
+      "# results: %zu cache_hit / %zu exact / %zu enumerated / %zu "
+      "planned_group / %zu shed; %zu priority flushes\n",
       stats.results_cache_hit, stats.results_exact, stats.results_enumerated,
-      stats.results_sampled, stats.results_planned, stats.results_shed,
-      stats.priority_flushes);
+      stats.results_planned, stats.results_shed, stats.priority_flushes);
   out += StrFormat(
       "# caches: memo %zu hits / %zu misses / %zu evictions (%zu entries, "
       "%.1f KB), marginal %zu hits / %zu misses / %zu evictions (%zu "
@@ -208,7 +207,6 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
         case ResultProvenance::kCacheHit: ++stats_.results_cache_hit; break;
         case ResultProvenance::kExact: ++stats_.results_exact; break;
         case ResultProvenance::kEnumerated: ++stats_.results_enumerated; break;
-        case ResultProvenance::kSampled: ++stats_.results_sampled; break;
         case ResultProvenance::kPlannedGroup: ++stats_.results_planned; break;
         case ResultProvenance::kShed: ++stats_.results_shed; break;
         case ResultProvenance::kUnknown: break;
@@ -437,9 +435,8 @@ bool InferenceEngine::ResolveBeforeSampling(
     MutexLock lock(&mu_);
     ++stats_.enumerated;
   } else {
-    // Route on the sampler's own path classification so the engine's fast
-    // paths can never diverge from (and therefore always bit-match) the
-    // sequential ProgressiveSampler::EstimateWithStdError.
+    // The exact shortcuts short of a walk: every position wildcard, or
+    // only position 0 constrained.
     const ProgressiveSampler::Path path = est->sampler()->Classify(query);
     if (path == ProgressiveSampler::Path::kAllWildcard) {
       result->estimate = 1.0;  // every position wildcard: immediate exit
@@ -498,7 +495,7 @@ void InferenceEngine::EstimatePlanned(
     sampled.push_back(&requests[rep.index].query);
   }
 
-  const ProgressiveSamplerConfig& scfg = est->sampler()->config();
+  const NaruEstimatorConfig& ecfg = est->config();
   SamplingPlanOptions plan_opts;
   // Fork fan-out cap: pinned by config, or auto-tuned so stacked GEMM
   // shapes suit the model's hidden width, the active kernel, and the
@@ -507,7 +504,7 @@ void InferenceEngine::EstimatePlanned(
       cfg_.group_width != 0
           ? cfg_.group_width
           : AutoGroupWidth(est->model()->StackedWidthHint(),
-                           est->model()->inference_kernel(), scfg.shard_size);
+                           est->model()->inference_kernel(), ecfg.shard_size);
   plan_opts.budgets.reserve(reps.size());
   plan_opts.deadlines.reserve(reps.size());
   for (const SampledRep& rep : reps) {
@@ -525,7 +522,7 @@ void InferenceEngine::EstimatePlanned(
     // cap is sized from the estimator's default budget; per-request
     // budgets only shift how many shards each tree happens to have.)
     const size_t num_shards =
-        SamplerNumShards(scfg.num_samples, scfg.shard_size);
+        SamplerNumShards(ecfg.num_samples, ecfg.shard_size);
     const size_t min_groups =
         (pool->num_threads() + num_shards - 1) / num_shards;
     const size_t width_cap =
@@ -535,9 +532,9 @@ void InferenceEngine::EstimatePlanned(
   }
   const SamplingPlan plan = CompileSamplingPlan(est->model(), sampled, plan_opts);
   PlanExecutionOptions popts;
-  popts.num_samples = scfg.num_samples;
-  popts.shard_size = scfg.shard_size;
-  popts.seed = scfg.seed;
+  popts.num_samples = ecfg.num_samples;
+  popts.shard_size = ecfg.shard_size;
+  popts.seed = ecfg.sampler_seed;
   // When the engine is serial (pool == nullptr) the caller already holds a
   // ScopedSerialRegion and the executor runs inline; otherwise (tree,
   // shard) tasks spread across the engine's pool.

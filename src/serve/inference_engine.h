@@ -1,24 +1,25 @@
-// Batched, thread-parallel serving for Naru estimators.
+// Batched, thread-parallel serving for Naru estimators — the one route to
+// an estimate.
 //
-// The sequential path (NaruEstimator::EstimateSelectivity) answers one
-// query at a time; this engine serves *batches*: queries against the same
-// ConditionalModel share one SamplerWorkspace pool and exact-result caches,
-// and every batch's sampled queries compile into one SamplingPlan
-// (src/plan) whose (tree, shard) tasks spread across a thread pool. Every
-// model walks through that plan executor. Everything
-// the engine caches is exact and deterministic — empty regions, trailing-
-// wildcard early exits, masked first-column marginal masses keyed on the
-// masked region, and full-query memo entries — so for a fixed sampler seed
-// a batched estimate is bit-identical to the sequential one, regardless of
-// batch size, thread count, or cache eviction history.
+// The engine serves *batches*: queries against the same ConditionalModel
+// share one SamplerWorkspace pool and exact-result caches, and every
+// batch's sampled queries compile into one SamplingPlan (src/plan) whose
+// (tree, shard) tasks spread across a thread pool. Every model walks
+// through that plan executor, and NaruEstimator::Estimate is a one-request
+// batch here. Everything the engine caches is exact and deterministic —
+// empty regions, trailing-wildcard early exits, masked first-column
+// marginal masses keyed on the masked region, and full-query memo
+// entries — so for a fixed sampler seed an estimate is bit-identical to
+// the same query served alone, regardless of batch size, thread count, or
+// cache eviction history.
 //
 // The native surface is typed (serve/request.h): EstimateBatch maps
 // EstimateRequests — query + per-request sample budget, soft deadline,
 // priority class, cache policy — to EstimateResults carrying the
 // estimate, a Status (DEADLINE_EXCEEDED for shed requests), the Monte
 // Carlo standard error when sampled, a provenance tag, and latency
-// attribution. For default options it is bit-identical to the
-// sequential path.
+// attribution. For default options it is bit-identical to
+// NaruEstimator::Estimate.
 //
 // Caches are size-aware LRU maps (serve/lru_cache.h) bounded by a byte
 // budget per model; hit/miss/eviction counters and occupancy are exposed
@@ -116,7 +117,7 @@ struct EngineStats {
   size_t plan_batches = 0;       ///< batches that compiled a sampling plan
   size_t plan_trees = 0;         ///< plan trees compiled (GEMM-fusion units)
   size_t plan_shared_cols = 0;   ///< per-shard column walks saved by sharing
-  size_t plan_walk_cols = 0;     ///< column walks the sequential path runs
+  size_t plan_walk_cols = 0;     ///< column walks without prefix sharing
   /// Deepest fork nesting over all compiled trees (0 = no forks: every
   /// tree was a single chain; 1 = one fork on every path).
   size_t plan_max_depth = 0;
@@ -163,7 +164,6 @@ struct EngineStats {
   size_t results_cache_hit = 0;
   size_t results_exact = 0;
   size_t results_enumerated = 0;
-  size_t results_sampled = 0;
   size_t results_planned = 0;
   size_t results_shed = 0;
 
@@ -241,9 +241,8 @@ class InferenceEngine {
     LruResultCache leading_mass;
   };
 
-  /// Every routing step of NaruEstimator::Estimate short of the sampled
-  /// walk: memo lookup, empty region, enumeration, trailing-wildcard exit,
-  /// leading-only marginal. Returns true with *result filled when the
+  /// Every routing step short of the sampled walk: memo lookup, empty
+  /// region, enumeration, trailing-wildcard exit, leading-only marginal. Returns true with *result filled when the
   /// query resolved; false when it needs a progressive-sampling walk.
   /// `memo_key` is the batch-hoisted full cache key (config prefix +
   /// canonical query bytes). `deadline` is the computation's deadline

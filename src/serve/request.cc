@@ -12,8 +12,6 @@ const char* ResultProvenanceToString(ResultProvenance provenance) {
       return "exact";
     case ResultProvenance::kEnumerated:
       return "enumerated";
-    case ResultProvenance::kSampled:
-      return "sampled";
     case ResultProvenance::kPlannedGroup:
       return "planned_group";
     case ResultProvenance::kShed:

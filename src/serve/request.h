@@ -8,9 +8,11 @@
 // the Monte Carlo standard error when it sampled, where its latency went,
 // and a Status instead of an out-of-band error channel.
 //
-// Contract: a request with DEFAULT options is served bit-identically to
-// the sequential NaruEstimator::EstimateSelectivity path (the repo-wide
-// determinism invariant, see docs/ARCHITECTURE.md). Non-default options
+// Contract: a request with DEFAULT options is served bit-identically by
+// every surface — NaruEstimator::Estimate (a one-request batch), the
+// blocking and async engines, and the network server — whatever batch it
+// lands in (the repo-wide determinism invariant, see
+// docs/ARCHITECTURE.md). Non-default options
 // change WHAT is asked (sample budget) or WHETHER it is answered
 // (deadline), never silently degrade an answer: a shed request returns a
 // typed DEADLINE_EXCEEDED status, not a stale or approximate value.
@@ -54,27 +56,27 @@ enum class CachePolicy : uint8_t {
   kBypass = 2,
 };
 
-/// How an EstimateResult was produced.
+/// How an EstimateResult was produced. The values are wire codes
+/// (net/protocol.h) and never move; code 4 is retired and must not be
+/// reused, since a peer built before its retirement may still send it.
 enum class ResultProvenance : uint8_t {
   kUnknown = 0,
-  kCacheHit,      ///< full-query memo hit (exact)
-  kExact,         ///< exact shortcut: empty / all-wildcard / leading-only
-  kEnumerated,    ///< exact enumeration of a small region
-  kSampled,       ///< sequential walk (NaruEstimator::Estimate)
-  kPlannedGroup,  ///< sampled through a compiled SamplingPlan group
+  kCacheHit = 1,      ///< full-query memo hit (exact)
+  kExact = 2,         ///< exact shortcut: empty / all-wildcard / leading-only
+  kEnumerated = 3,    ///< exact enumeration of a small region
+  kPlannedGroup = 5,  ///< sampled through a compiled SamplingPlan
   /// Not answered: deadline expired before dispatch, the walk was
   /// abandoned mid-column after every sharer expired, or admission
   /// control dropped the request from a full pending queue. `status`
   /// distinguishes the three (DEADLINE_EXCEEDED vs RESOURCE_EXHAUSTED).
-  kShed,
+  kShed = 6,
 };
 
 /// Short lower-case name, e.g. "cache_hit" (stats rendering, CLI output).
 const char* ResultProvenanceToString(ResultProvenance provenance);
 
-/// Per-request serving options. The default-constructed value is served
-/// bit-identically to the sequential NaruEstimator::EstimateSelectivity
-/// path.
+/// Per-request serving options. The default-constructed value is what
+/// NaruEstimator::EstimateSelectivity serves.
 struct EstimateOptions {
   /// Progressive sample paths for THIS request; 0 inherits the
   /// estimator's configured num_samples. Part of the value contract: two
@@ -122,9 +124,9 @@ struct EstimateOptions {
 
   /// THE resolution of the 0-means-inherit budget rule, shared by every
   /// layer that keys or computes on the effective sample count (async
-  /// in-flight keys, engine memo/coalescing keys, the sequential typed
-  /// path) — they must all agree or duplicate sharing could pair requests
-  /// the memo keeps apart.
+  /// in-flight keys, engine memo/coalescing keys, the plan budgets) —
+  /// they must all agree or duplicate sharing could pair requests the
+  /// memo keeps apart.
   size_t EffectiveSamples(size_t configured) const {
     return num_samples != 0 ? num_samples : configured;
   }
@@ -158,7 +160,7 @@ struct EstimateResult {
   Status status;
 
   /// Monte Carlo standard error of the estimate when it was sampled
-  /// (provenance kSampled / kPlannedGroup); 0 for exact answers. A
+  /// (provenance kPlannedGroup); 0 for exact answers. A
   /// ±2·std_error band is the usual ~95% confidence interval.
   double std_error = 0.0;
 

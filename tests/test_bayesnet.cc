@@ -7,7 +7,6 @@
 
 #include "core/enumerator.h"
 #include "core/naru_estimator.h"
-#include "core/sampler.h"
 #include "data/datasets.h"
 #include "data/table.h"
 #include "estimator/bayesnet.h"
@@ -113,10 +112,11 @@ TEST(BayesNet, ProgressiveSamplerConvergesToExact) {
   BayesNet net(t);
   Query q(t, {{0, CompareOp::kLe, 2}, {2, CompareOp::kGe, 1}});
   const double exact = net.ExactSelectivity(q);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 20000;
-  ProgressiveSampler sampler(&net, scfg);
-  const double sampled = sampler.EstimateSelectivity(q);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  ncfg.num_samples = 20000;
+  NaruEstimator estimator(&net, ncfg, 0);
+  const double sampled = estimator.EstimateSelectivity(q);
   ASSERT_GT(exact, 0.0);
   EXPECT_NEAR(sampled / exact, 1.0, 0.08);
 }

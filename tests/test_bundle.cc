@@ -79,5 +79,47 @@ TEST(Bundle, InconsistentDomainsFail) {
   std::remove(path.c_str());
 }
 
+TEST(Bundle, ZeroSizesAreInvalidArgument) {
+  // A hostile manifest must come back as a typed error, not abort the
+  // process that loads it (naru_cli serve loads bundles this way).
+  const std::string path = testing::TempDir() + "/naru_zero_size_bundle";
+  for (const char* manifest :
+       {"naru-bundle-v1\ncolumns 2\ndomains 0 5\nhidden 8\n",
+        "naru-bundle-v1\ncolumns 2\ndomains 4 5\nhidden 8 0\n",
+        "naru-bundle-v1\ncolumns 2\ndomains 40 5\nhidden 8\n"
+        "onehot_threshold 16\nembed_dim 0\n"}) {
+    FILE* f = fopen(path.c_str(), "w");
+    fputs(manifest, f);
+    fclose(f);
+    const auto loaded = LoadModelBundle(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << manifest << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Bundle, OversizedParameterNameIsIOError) {
+  // A weights file whose first parameter claims a 1 MiB name in a 100-byte
+  // file: the loader must refuse before allocating for the claim.
+  const std::string path = testing::TempDir() + "/naru_long_name_bundle";
+  FILE* f = fopen(path.c_str(), "w");
+  fputs("naru-bundle-v1\ncolumns 2\ndomains 4 5\nhidden 8\n", f);
+  fclose(f);
+  std::string weights = "NARUPRM1";
+  const uint64_t count = 1;
+  const uint32_t name_len = 1u << 20;
+  weights.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  weights.append(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+  weights.resize(100, 'x');
+  f = fopen((path + ".weights").c_str(), "wb");
+  fwrite(weights.data(), 1, weights.size(), f);
+  fclose(f);
+  const auto loaded = LoadModelBundle(path);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+  std::remove((path + ".weights").c_str());
+}
+
 }  // namespace
 }  // namespace naru

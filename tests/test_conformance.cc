@@ -23,10 +23,10 @@
 #include "core/enumerator.h"
 #include "core/factorized.h"
 #include "core/made.h"
-#include "core/ordered_model.h"
+#include "core/naru_estimator.h"
 #include "core/oracle_model.h"
+#include "core/ordered_model.h"
 #include "core/percolumn.h"
-#include "core/sampler.h"
 #include "core/transformer.h"
 #include "data/datasets.h"
 #include "estimator/bayesnet.h"
@@ -177,11 +177,12 @@ TEST_P(ConformanceTest, SamplerConvergesToEnumeration) {
   const double exact = EnumerateSelectivity(m.model.get(), q);
   ASSERT_GT(exact, 0.0) << m.name;
 
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 20000;
-  scfg.seed = 13;
-  ProgressiveSampler sampler(m.model.get(), scfg);
-  const double est = sampler.EstimateSelectivity(q);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  ncfg.num_samples = 20000;
+  ncfg.sampler_seed = 13;
+  NaruEstimator estimator(m.model.get(), ncfg, 0);
+  const double est = estimator.EstimateSelectivity(q);
   EXPECT_NEAR(est / exact, 1.0, 0.1) << m.name;
 }
 

@@ -8,8 +8,8 @@
 
 #include "core/enumerator.h"
 #include "core/made.h"
+#include "core/naru_estimator.h"
 #include "core/oracle_model.h"
-#include "core/sampler.h"
 #include "core/trainer.h"
 #include "data/datasets.h"
 #include "data/table_stats.h"
@@ -35,16 +35,18 @@ TEST(EdgeCase, DomainOneColumn) {
   IndepEstimator indep(t);
   EXPECT_DOUBLE_EQ(indep.EstimateSelectivity(q), 1.0);
   OracleModel oracle(&t);
-  ProgressiveSampler sampler(&oracle, ProgressiveSamplerConfig{});
-  EXPECT_NEAR(sampler.EstimateSelectivity(q), 1.0, 1e-9);
+  NaruEstimator estimator(
+      &oracle, NaruEstimatorConfig{.enumeration_threshold = 0}, 0);
+  EXPECT_NEAR(estimator.EstimateSelectivity(q), 1.0, 1e-9);
 }
 
 TEST(EdgeCase, SingleRowTable) {
   Table t = TableBuilder("t").AddIntColumn("a", {5}).Build();
   OracleModel oracle(&t);
   Predicate hit{0, CompareOp::kEq, 0, 0, {}};
-  ProgressiveSampler sampler(&oracle, ProgressiveSamplerConfig{});
-  EXPECT_NEAR(sampler.EstimateSelectivity(Query(t, {hit})), 1.0, 1e-9);
+  NaruEstimator estimator(
+      &oracle, NaruEstimatorConfig{.enumeration_threshold = 0}, 0);
+  EXPECT_NEAR(estimator.EstimateSelectivity(Query(t, {hit})), 1.0, 1e-9);
   EXPECT_NEAR(TableStats::JointEntropyBits(t), 0.0, 1e-12);
 }
 
@@ -57,8 +59,9 @@ TEST(EdgeCase, ContradictoryPredicatesGiveEmptyRegion) {
   EXPECT_EQ(ExecuteCount(t, q), 0);
   OracleModel oracle(&t);
   EXPECT_DOUBLE_EQ(EnumerateSelectivity(&oracle, q), 0.0);
-  ProgressiveSampler sampler(&oracle, ProgressiveSamplerConfig{});
-  EXPECT_DOUBLE_EQ(sampler.EstimateSelectivity(q), 0.0);
+  NaruEstimator estimator(
+      &oracle, NaruEstimatorConfig{.enumeration_threshold = 0}, 0);
+  EXPECT_DOUBLE_EQ(estimator.EstimateSelectivity(q), 0.0);
 }
 
 TEST(EdgeCase, DeadPathsFromZeroConditionalMass) {
@@ -76,10 +79,11 @@ TEST(EdgeCase, DeadPathsFromZeroConditionalMass) {
   Predicate pa{0, CompareOp::kEq, 1, 0, {}};
   Predicate pb{1, CompareOp::kEq, 2, 0, {}};  // impossible given a=1
   Query q(t, {pa, pb});
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 200;
-  ProgressiveSampler sampler(&oracle, scfg);
-  const double est = sampler.EstimateSelectivity(q);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  ncfg.num_samples = 200;
+  NaruEstimator estimator(&oracle, ncfg, 0);
+  const double est = estimator.EstimateSelectivity(q);
   EXPECT_TRUE(std::isfinite(est));
   EXPECT_DOUBLE_EQ(est, 0.0);
 }

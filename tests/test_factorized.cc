@@ -6,14 +6,13 @@
 
 #include <cmath>
 
+#include "core/compress.h"
 #include "core/enumerator.h"
 #include "core/factorized.h"
 #include "core/generator.h"
 #include "core/made.h"
 #include "core/naru_estimator.h"
-#include "core/sampler.h"
 #include "core/trainer.h"
-#include "core/compress.h"
 #include "data/datasets.h"
 #include "query/executor.h"
 
@@ -118,11 +117,12 @@ TEST(FactorizedModel, SamplerMatchesEnumeratorOnRangeQueries) {
   for (const auto& q : queries) {
     const double exact = EnumerateSelectivity(&model, q);
     ASSERT_GT(exact, 0.0);
-    ProgressiveSamplerConfig scfg;
-    scfg.num_samples = 30000;
-    scfg.seed = 13;
-    ProgressiveSampler sampler(&model, scfg);
-    const double est = sampler.EstimateSelectivity(q);
+    NaruEstimatorConfig ncfg;
+    ncfg.enumeration_threshold = 0;
+    ncfg.num_samples = 30000;
+    ncfg.sampler_seed = 13;
+    NaruEstimator estimator(&model, ncfg, 0);
+    const double est = estimator.EstimateSelectivity(q);
     EXPECT_NEAR(est / exact, 1.0, 0.1) << q.ToString(Table("t"));
   }
 }
@@ -260,10 +260,11 @@ TEST(FactorizedModel, ExactPowerOfTwoDomainHasNoInvalidMass) {
   Query all({ValueSet::All(4), ValueSet::All(512)});
   EXPECT_NEAR(EnumerateSelectivity(&model, all), 1.0, 2e-3);
   // And the sampler's all-wildcard early exit applies.
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 8;
-  ProgressiveSampler sampler(&model, scfg);
-  EXPECT_EQ(sampler.EstimateSelectivity(all), 1.0);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  ncfg.num_samples = 8;
+  NaruEstimator estimator(&model, ncfg, 0);
+  EXPECT_EQ(estimator.EstimateSelectivity(all), 1.0);
 }
 
 }  // namespace

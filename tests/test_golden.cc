@@ -1,18 +1,19 @@
 // Golden estimates: the exact IEEE-754 bit patterns the sampled-estimate
 // routes produce today, checked into tests/golden/estimates.tsv.
 //
-// Bit-identity tests elsewhere compare two routes of the SAME build against
-// each other (planned vs sequential, stacked vs per-query). This test pins
-// the numbers themselves, so a refactor or deletion of either route is
-// checked against pre-change outputs rather than against a reference that
-// is being rewritten in the same change.
+// Bit-identity tests elsewhere compare the serving routes of the SAME build
+// with a test-only reference walker (tests/reference_walk.h). This test
+// pins the numbers themselves, so a refactor of the walk, or of the
+// walker, is checked against pre-change outputs rather than against a
+// reference that is being rewritten in the same change.
 //
 // Rows are keyed by (model, route, query, seed, kernel, dispatch):
 //   - model: plain MADE, residual MADE, OrderedModel, FactorizedModel and
 //     the transformer, each trained briefly on a fixed random table;
-//   - route: `estimator` (NaruEstimator::Estimate, enumeration off) or
-//     `plan` (one CompileSamplingPlan + ExecuteSamplingPlan over every
-//     sampled-path query of the model);
+//   - route: `estimator` (NaruEstimator::Estimate with enumeration off: a
+//     one-query plan through the estimator's private engine, or the exact
+//     leading-only answer) or `plan` (one CompileSamplingPlan +
+//     ExecuteSamplingPlan over every sampled-path query of the model);
 //   - kernel: scalar rows carry dispatch "-" and must always be present;
 //     they are computed twice, at the host's scalar tile width and pinned
 //     to the 128-bit tile, and both passes must match them;

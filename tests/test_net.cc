@@ -322,6 +322,36 @@ TEST(NetProtocol, DecodeRejectsEveryMalformationClass) {
   EXPECT_EQ(DecodeFrame(lie, &frame).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(NetProtocol, DecodeRejectsRetiredAndUnknownProvenance) {
+  // Provenance values are wire codes and never move. Code 4 (a sampled
+  // walk outside any plan) is retired, so a response carrying it is as
+  // malformed as one past the last code.
+  EXPECT_EQ(static_cast<int>(ResultProvenance::kPlannedGroup), 5);
+  EXPECT_EQ(static_cast<int>(ResultProvenance::kShed), 6);
+  WireEstimateResponse resp;
+  resp.request_id = 3;
+  resp.estimate = 0.25;
+  resp.provenance = ResultProvenance::kPlannedGroup;
+  std::string bytes;
+  EncodeEstimateResponse(resp, &bytes);
+  std::string payload(std::string_view(bytes).substr(kFrameHeaderBytes));
+  // The provenance byte is followed by samples_used (u64) and three f64
+  // latencies.
+  const size_t at = payload.size() - 1 - 4 * 8;
+  ASSERT_EQ(payload[at], '\x05');
+  Frame frame;
+  ASSERT_TRUE(DecodeFrame(payload, &frame).ok());
+  EXPECT_EQ(frame.response.provenance, ResultProvenance::kPlannedGroup);
+  for (const char code : {'\x04', '\x07'}) {
+    payload[at] = code;
+    const Status st = DecodeFrame(payload, &frame);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << int{code};
+    EXPECT_NE(st.ToString().find("provenance out of range"),
+              std::string::npos)
+        << st.ToString();
+  }
+}
+
 TEST(NetProtocol, ToEstimateRequestPinsRelativeDeadline) {
   WireEstimateRequest wire = SampleRequest();
   wire.deadline_ms = 250.0;
@@ -346,7 +376,7 @@ TEST(NetProtocol, WireResponseReconstructsEstimateResultBitExactly) {
   result.estimate = 0.1234567890123456789;
   result.status = Status::OK();
   result.std_error = 3.5e-3;
-  result.provenance = ResultProvenance::kSampled;
+  result.provenance = ResultProvenance::kPlannedGroup;
   result.samples_used = 777;
   result.queue_ms = 1.5;
   result.compute_ms = 2.25;

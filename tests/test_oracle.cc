@@ -4,8 +4,8 @@
 
 #include <cmath>
 
+#include "core/naru_estimator.h"
 #include "core/oracle_model.h"
-#include "core/sampler.h"
 #include "data/datasets.h"
 #include "data/table_stats.h"
 #include "query/executor.h"
@@ -131,12 +131,13 @@ TEST(Oracle, SamplingWithSmoothedModelStillReasonable) {
 
   const double lambda = OracleModel(&t).FindLambdaForGapBits(1.0);
   OracleModel smoothed(&t, lambda);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 2000;
-  ProgressiveSampler sampler(&smoothed, scfg);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  ncfg.num_samples = 2000;
+  NaruEstimator estimator(&smoothed, ncfg, 0);
   for (const auto& q : queries) {
     const double truth = ExecuteSelectivity(t, q);
-    const double est = sampler.EstimateSelectivity(q);
+    const double est = estimator.EstimateSelectivity(q);
     const double err =
         std::max(est, 1e-3) / std::max(truth, 1e-3);
     EXPECT_LT(std::max(err, 1.0 / err), 30.0) << q.ToString(t);

@@ -8,8 +8,8 @@
 #include "core/ensemble.h"
 #include "core/enumerator.h"
 #include "core/made.h"
+#include "core/naru_estimator.h"
 #include "core/ordered_model.h"
-#include "core/sampler.h"
 #include "core/trainer.h"
 #include "data/datasets.h"
 #include "query/executor.h"
@@ -119,10 +119,11 @@ TEST(OrderedModel, FirstPositionFilterIsExact) {
 
   // Filter ONLY table column 2 (= model position 0).
   Query q(t, {{/*column=*/2, CompareOp::kLe, 1}});
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 16;  // exactness => tiny budget suffices
-  ProgressiveSampler sampler(&model, scfg);
-  const double sampled = sampler.EstimateSelectivity(q);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  ncfg.num_samples = 16;  // exactness => tiny budget suffices
+  NaruEstimator estimator(&model, ncfg, 0);
+  const double sampled = estimator.EstimateSelectivity(q);
   const double enumerated = EnumerateSelectivity(&model, q);
   EXPECT_NEAR(sampled, enumerated, 1e-6);
 }
@@ -142,10 +143,11 @@ TEST(OrderedModel, SamplerMatchesEnumeratorOnPermutedModel) {
   Query q(t, {{/*column=*/0, CompareOp::kGe, 1},
               {/*column=*/2, CompareOp::kLe, 1}});
   const double exact = EnumerateSelectivity(&model, q);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 20000;
-  ProgressiveSampler sampler(&model, scfg);
-  const double sampled = sampler.EstimateSelectivity(q);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  ncfg.num_samples = 20000;
+  NaruEstimator estimator(&model, ncfg, 0);
+  const double sampled = estimator.EstimateSelectivity(q);
   ASSERT_GT(exact, 0.0);
   EXPECT_NEAR(sampled / exact, 1.0, 0.1);
 }

@@ -2,8 +2,9 @@
 // tries with multi-depth forking, constrained-prefix sharing, width
 // capping) and plan execution (shared segment walks, forked suffix walks,
 // stacked GEMMs, relayouts of stateful sessions). The oracle throughout
-// is bit-identity with the sequential ProgressiveSampler for a fixed seed
-// — across shard sizes, tree shapes, kernels, thread counts and models.
+// is bit-identity with the reference walker (reference_walk.h: Algorithm 1
+// run for each query alone) for a fixed seed — across shard sizes, tree
+// shapes, kernels and thread counts.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -12,17 +13,13 @@
 #include <vector>
 
 #include "core/made.h"
-#include "core/naru_estimator.h"
-#include "core/oracle_model.h"
-#include "core/percolumn.h"
 #include "core/trainer.h"
 #include "core/transformer.h"
 #include "data/datasets.h"
-#include "estimator/bayesnet.h"
 #include "plan/plan_executor.h"
 #include "plan/sampling_plan.h"
 #include "query/workload.h"
-#include "serve/inference_engine.h"
+#include "reference_walk.h"
 #include "tensor/kernel.h"
 
 namespace naru {
@@ -272,10 +269,10 @@ TEST(MadeModel, StackedRowsEvaluateBitIdentically) {
 
 // The heart of the plan layer: for randomized batches with mixed
 // leading-wildcard runs AND shared constrained prefixes, planned execution
-// is bit-identical to the sequential per-query sampler — across shard
-// sizes, tree shapes (the width cap changes fork depths and fanouts), and
-// thread counts (estimates AND standard errors).
-TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
+// is bit-identical to the per-query reference walk — across shard sizes,
+// tree shapes (the width cap changes fork depths and fanouts), and thread
+// counts (estimates AND standard errors).
+TEST(PlanExecutor, BitIdenticalToReferenceWalk) {
   Table t = PlanTable(11);
   auto model = TrainedMade(t, 11);
   std::vector<Query> queries = MixedRunBatch(t, 24, 3, 131);
@@ -289,17 +286,11 @@ TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
   for (const auto& q : queries) ptrs.push_back(&q);
 
   for (const size_t shard_size : {size_t{32}, size_t{128}}) {
-    // Sequential reference at this shard size.
-    ProgressiveSamplerConfig scfg;
-    scfg.num_samples = 300;
-    scfg.shard_size = shard_size;
-    scfg.seed = 17;
-    ProgressiveSampler sampler(model.get(), scfg);
     std::vector<double> want, want_se;
     for (const auto& q : queries) {
-      double se = 0;
-      want.push_back(sampler.EstimateWithStdError(q, &se));
-      want_se.push_back(se);
+      const auto ref = reference::Walk(model.get(), q, 300, shard_size, 17);
+      want.push_back(ref.estimate);
+      want_se.push_back(ref.std_error);
     }
 
     for (const size_t group_width : {size_t{1}, size_t{3}, size_t{32}}) {
@@ -328,9 +319,9 @@ TEST(PlanExecutor, BitIdenticalToSequentialSampler) {
 }
 
 // Same oracle across the inference kernels: each kernel changes the
-// numbers, but within a kernel the tree walk must match the sequential
+// numbers, but within a kernel the tree walk must match the reference
 // walk bit for bit.
-TEST(PlanExecutor, BitIdenticalToSequentialAcrossKernels) {
+TEST(PlanExecutor, BitIdenticalToReferenceWalkAcrossKernels) {
   Table t = PlanTable(23);
   auto model = TrainedMade(t, 23);
   std::vector<Query> queries = MixedRunBatch(t, 12, 2, 137);
@@ -343,14 +334,9 @@ TEST(PlanExecutor, BitIdenticalToSequentialAcrossKernels) {
        {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
     model->SetInferenceKernel(kernel);
 
-    ProgressiveSamplerConfig scfg;
-    scfg.num_samples = 200;
-    scfg.shard_size = 64;
-    scfg.seed = 29;
-    ProgressiveSampler sampler(model.get(), scfg);
     std::vector<double> want;
     for (const auto& q : queries) {
-      want.push_back(sampler.EstimateSelectivity(q));
+      want.push_back(reference::Walk(model.get(), q, 200, 64, 29).estimate);
     }
 
     const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs);
@@ -371,8 +357,8 @@ TEST(PlanExecutor, BitIdenticalToSequentialAcrossKernels) {
 }
 
 // Tree execution over the transformer's (stateless) sessions is bit-
-// identical to its sequential walk.
-TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
+// identical to the reference walk.
+TEST(PlanExecutor, TransformerPlannedBitIdenticalToReferenceWalk) {
   Table t = MakeRandomTable(400, {6, 5, 8, 4}, 31, /*skew=*/1.0);
   TransformerModel::Config tcfg;
   tcfg.d_model = 16;
@@ -394,16 +380,11 @@ TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
   std::vector<const Query*> ptrs;
   for (const auto& q : queries) ptrs.push_back(&q);
 
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 128;
-  scfg.shard_size = 64;
-  scfg.seed = 41;
-  ProgressiveSampler sampler(model.get(), scfg);
   std::vector<double> want, want_se;
   for (const auto& q : queries) {
-    double se = 0;
-    want.push_back(sampler.EstimateWithStdError(q, &se));
-    want_se.push_back(se);
+    const auto ref = reference::Walk(model.get(), q, 128, 64, 41);
+    want.push_back(ref.estimate);
+    want_se.push_back(ref.std_error);
   }
 
   const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs);
@@ -432,7 +413,7 @@ TEST(PlanExecutor, TransformerPlannedBitIdenticalToSequential) {
 // Queries (Interval [1,2] on the listed columns):
 //   qa {0, 1}        — constrained column 0: its own branch, retires at 2
 //   qb {1, 2}, qc {1, 3} — wildcard column 0, shared [0, 2), fork at 2
-TEST(PlanExecutor, RetireAndForkAtSameRowCountMatchesSequential) {
+TEST(PlanExecutor, RetireAndForkAtSameRowCountMatchesReferenceWalk) {
   Table t = PlanTable(43);
   auto model = TrainedMade(t, 43);
   const std::vector<Query> queries = {QueryOn(t, {0, 1}), QueryOn(t, {1, 2}),
@@ -456,16 +437,11 @@ TEST(PlanExecutor, RetireAndForkAtSameRowCountMatchesSequential) {
   for (const KernelKind kernel :
        {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
     model->SetInferenceKernel(kernel);
-    ProgressiveSamplerConfig scfg;
-    scfg.num_samples = 200;
-    scfg.shard_size = 64;
-    scfg.seed = 47;
-    ProgressiveSampler sampler(model.get(), scfg);
     std::vector<double> want, want_se;
     for (const auto& q : queries) {
-      double se = 0;
-      want.push_back(sampler.EstimateWithStdError(q, &se));
-      want_se.push_back(se);
+      const auto ref = reference::Walk(model.get(), q, 200, 64, 47);
+      want.push_back(ref.estimate);
+      want_se.push_back(ref.std_error);
     }
     PlanExecutionOptions opts;
     opts.num_samples = 200;
@@ -524,87 +500,6 @@ TEST(PlanExecutor, PrefixShareSavesModelColumnCalls) {
   // float32 conditionals: 1/3f + 1/3f carries ~1e-8 rounding.
   EXPECT_NEAR(got[0], 2.0 / 3.0, 1e-6);
   EXPECT_NEAR(got[1], 2.0 / 3.0, 1e-6);
-}
-
-// Every model walks through the engine's plan executor. Serves `queries`
-// against `model` at 1 and 4 engine threads, as one batch and in chunks
-// of 5 (different plans, different relayouts), and checks estimate and
-// standard error bitwise against the sequential NaruEstimator::Estimate.
-void ExpectEngineMatchesSequential(ConditionalModel* model,
-                                   const std::vector<Query>& queries) {
-  NaruEstimatorConfig ncfg;
-  ncfg.num_samples = 300;
-  ncfg.shard_size = 64;
-  ncfg.enumeration_threshold = 0;
-  NaruEstimator est(model, ncfg, 0);
-  std::vector<EstimateResult> want;
-  for (const Query& q : queries) want.push_back(est.Estimate(q));
-
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    for (const size_t chunk : {queries.size(), size_t{5}}) {
-      InferenceEngineConfig ecfg;
-      ecfg.num_threads = threads;
-      ecfg.enable_cache = false;
-      InferenceEngine engine(ecfg);
-      for (size_t lo = 0; lo < queries.size(); lo += chunk) {
-        const size_t hi = std::min(queries.size(), lo + chunk);
-        std::vector<EstimateRequest> requests;
-        for (size_t i = lo; i < hi; ++i) requests.emplace_back(queries[i]);
-        std::vector<EstimateResult> got;
-        engine.EstimateBatch(&est, requests, &got);
-        for (size_t i = lo; i < hi; ++i) {
-          const EstimateResult& r = got[i - lo];
-          ASSERT_TRUE(r.ok());
-          EXPECT_EQ(r.estimate, want[i].estimate)
-              << "threads " << threads << " chunk " << chunk << " query "
-              << i;
-          EXPECT_EQ(r.std_error, want[i].std_error)
-              << "threads " << threads << " chunk " << chunk << " query "
-              << i;
-        }
-      }
-      EXPECT_EQ(engine.stats().planned_queries, queries.size());
-    }
-  }
-}
-
-/// Distinct sampled-path queries with forks and shared constrained
-/// prefixes, so the executor relayouts every session mid-walk.
-std::vector<Query> EngineBatch(const Table& t) {
-  std::vector<Query> queries = MixedRunBatch(t, 16, 2, 151);
-  for (const std::vector<size_t>& cols :
-       std::vector<std::vector<size_t>>{
-           {0, 1, 3}, {0, 1, 4}, {0, 1, 5}, {2, 3}, {2, 5}}) {
-    queries.push_back(QueryOn(t, cols));
-  }
-  return queries;
-}
-
-TEST(PlanExecutor, OracleThroughEngineMatchesSequential) {
-  Table t = PlanTable(13);
-  OracleModel oracle(&t, /*smoothing_lambda=*/0.1);
-  ExpectEngineMatchesSequential(&oracle, EngineBatch(t));
-}
-
-TEST(PlanExecutor, PerColumnThroughEngineMatchesSequential) {
-  Table t = PlanTable(14);
-  PerColumnModel::Config cfg;
-  cfg.hidden_sizes = {16, 16};
-  cfg.encoder.onehot_threshold = 6;
-  cfg.encoder.embed_dim = 4;
-  cfg.seed = 14;
-  PerColumnModel model({6, 5, 8, 4, 7, 5}, cfg);
-  TrainerConfig tcfg;
-  tcfg.epochs = 1;
-  tcfg.batch_size = 128;
-  Trainer(&model, tcfg).Train(t);
-  ExpectEngineMatchesSequential(&model, EngineBatch(t));
-}
-
-TEST(PlanExecutor, BayesNetThroughEngineMatchesSequential) {
-  Table t = PlanTable(15);
-  BayesNet net(t);
-  ExpectEngineMatchesSequential(&net, EngineBatch(t));
 }
 
 }  // namespace

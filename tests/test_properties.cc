@@ -12,8 +12,6 @@
 #include "core/naru_estimator.h"
 #include "core/oracle_model.h"
 #include "core/percolumn.h"
-#include "core/sampler.h"
-#include "nn/adam.h"
 #include "data/datasets.h"
 #include "estimator/dbms1.h"
 #include "estimator/hist_nd.h"
@@ -21,6 +19,7 @@
 #include "estimator/kde.h"
 #include "estimator/postgres1d.h"
 #include "estimator/sample.h"
+#include "nn/adam.h"
 #include "query/executor.h"
 #include "query/metrics.h"
 #include "query/workload.h"
@@ -347,11 +346,12 @@ TEST_P(SamplerEnumAgreementTest, Agree) {
   wcfg.seed = seed + 2;
   for (const auto& q : GenerateWorkload(t, wcfg)) {
     const double exact = EnumerateSelectivity(&oracle, q);
-    ProgressiveSamplerConfig scfg;
-    scfg.num_samples = 6000;
-    scfg.seed = seed + 3;
-    ProgressiveSampler sampler(&oracle, scfg);
-    const double sampled = sampler.EstimateSelectivity(q);
+    NaruEstimatorConfig ncfg;
+    ncfg.enumeration_threshold = 0;
+    ncfg.num_samples = 6000;
+    ncfg.sampler_seed = seed + 3;
+    NaruEstimator estimator(&oracle, ncfg, 0);
+    const double sampled = estimator.EstimateSelectivity(q);
     EXPECT_NEAR(sampled, exact, std::max(0.3 * exact, 0.01));
   }
 }

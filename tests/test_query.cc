@@ -8,8 +8,8 @@
 #include <set>
 #include <utility>
 
+#include "core/naru_estimator.h"
 #include "core/oracle_model.h"
-#include "core/sampler.h"
 #include "data/datasets.h"
 #include "query/executor.h"
 #include "query/metrics.h"
@@ -373,12 +373,13 @@ TEST(Workload, InQueriesAgreeAcrossExecutorAndSampler) {
   cfg.seed = 11;
   const auto queries = GenerateWorkload(t, cfg);
   OracleModel oracle(&t);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 4000;
-  ProgressiveSampler sampler(&oracle, scfg);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  ncfg.num_samples = 4000;
+  NaruEstimator estimator(&oracle, ncfg, 0);
   for (const auto& q : queries) {
     const double truth = ExecuteSelectivity(t, q);
-    EXPECT_NEAR(sampler.EstimateSelectivity(q), truth,
+    EXPECT_NEAR(estimator.EstimateSelectivity(q), truth,
                 std::max(0.35 * truth, 0.02))
         << q.ToString(t);
   }

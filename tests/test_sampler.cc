@@ -1,21 +1,35 @@
 // Tests for progressive sampling (Algorithm 1) and exact enumeration:
 // unbiasedness on oracle joints, consistency with enumeration on learned
-// models, wildcard handling, the uniform-region strawman.
+// models, wildcard handling, the uniform-region strawman. Estimates come
+// from NaruEstimator with enumeration off, so every non-exact query walks.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/enumerator.h"
+#include "core/generator.h"
 #include "core/made.h"
+#include "core/naru_estimator.h"
 #include "core/oracle_model.h"
 #include "core/sampler.h"
 #include "core/trainer.h"
 #include "data/datasets.h"
 #include "query/executor.h"
 #include "query/workload.h"
+#include "reference_walk.h"
 
 namespace naru {
 namespace {
+
+/// A sampling-only estimator: enumeration off, so every query that is not
+/// an exact shortcut takes the progressive-sampling walk.
+NaruEstimatorConfig Sampling(size_t num_samples, uint64_t seed = 7) {
+  NaruEstimatorConfig cfg;
+  cfg.num_samples = num_samples;
+  cfg.sampler_seed = seed;
+  cfg.enumeration_threshold = 0;
+  return cfg;
+}
 
 // Property test: on an exact oracle model, progressive sampling with many
 // paths must converge to the true selectivity for random queries
@@ -35,14 +49,11 @@ TEST_P(SamplerUnbiasednessTest, OracleEstimatesMatchTruth) {
   wcfg.seed = seed * 31 + 1;
   const auto queries = GenerateWorkload(t, wcfg);
 
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 4000;
-  scfg.seed = seed + 5;
-  ProgressiveSampler sampler(&oracle, scfg);
+  NaruEstimator estimator(&oracle, Sampling(4000, seed + 5), 0);
 
   for (const auto& q : queries) {
     const double truth = ExecuteSelectivity(t, q);
-    const double est = sampler.EstimateSelectivity(q);
+    const double est = estimator.EstimateSelectivity(q);
     // Monte Carlo tolerance: absolute for tiny, relative for larger.
     EXPECT_NEAR(est, truth, std::max(0.35 * truth, 0.015))
         << q.ToString(t);
@@ -63,20 +74,19 @@ TEST(Sampler, ExactOnEqualityPointQueries) {
     preds.push_back(Predicate{c, CompareOp::kEq, t.column(c).code(0), 0, {}});
   }
   Query q(t, preds);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 16;  // deterministic regardless of path count
-  ProgressiveSampler sampler(&oracle, scfg);
+  // Deterministic regardless of path count.
+  NaruEstimator estimator(&oracle, Sampling(16), 0);
   const double truth = ExecuteSelectivity(t, q);
   // float32 conditionals leave ~1e-7 relative noise.
-  EXPECT_NEAR(sampler.EstimateSelectivity(q), truth, 1e-6);
+  EXPECT_NEAR(estimator.EstimateSelectivity(q), truth, 1e-6);
 }
 
 TEST(Sampler, WildcardOnlyQueryIsOne) {
   Table t = MakeRandomTable(100, {4, 4}, 11);
   OracleModel oracle(&t);
   Query q(t, {});
-  ProgressiveSampler sampler(&oracle, ProgressiveSamplerConfig{});
-  EXPECT_DOUBLE_EQ(sampler.EstimateSelectivity(q), 1.0);
+  NaruEstimator estimator(&oracle, Sampling(1000), 0);
+  EXPECT_DOUBLE_EQ(estimator.EstimateSelectivity(q), 1.0);
 }
 
 TEST(Sampler, EmptyRegionIsZero) {
@@ -85,8 +95,8 @@ TEST(Sampler, EmptyRegionIsZero) {
   Predicate lt0{/*column=*/0, CompareOp::kLt, /*literal=*/0, 0, {}};
   Query q(t, {lt0});
   ASSERT_TRUE(q.HasEmptyRegion());
-  ProgressiveSampler sampler(&oracle, ProgressiveSamplerConfig{});
-  EXPECT_DOUBLE_EQ(sampler.EstimateSelectivity(q), 0.0);
+  NaruEstimator estimator(&oracle, Sampling(1000), 0);
+  EXPECT_DOUBLE_EQ(estimator.EstimateSelectivity(q), 0.0);
 }
 
 TEST(Sampler, TrailingWildcardsNeedNoModelCalls) {
@@ -114,11 +124,10 @@ TEST(Sampler, TrailingWildcardsNeedNoModelCalls) {
                 .Build();
   Predicate p{/*column=*/0, CompareOp::kEq, /*literal=*/1, 0, {}};
   Query q(t, {p});
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 64;
-  scfg.shard_size = 64;
-  ProgressiveSampler sampler(&model, scfg);
-  const double est = sampler.EstimateSelectivity(q);
+  NaruEstimatorConfig ncfg = Sampling(64);
+  ncfg.shard_size = 64;
+  NaruEstimator estimator(&model, ncfg, 0);
+  const double est = estimator.EstimateSelectivity(q);
   EXPECT_NEAR(est, 1.0 / 3.0, 1e-6);
   EXPECT_EQ(model.calls, 1);  // only column 0 was visited
 }
@@ -131,12 +140,7 @@ TEST(Sampler, UniformRegionModeIsUnbiasedButNoisy) {
   Query q(t, {p0, p1});
   const double truth = ExecuteSelectivity(t, q);
 
-  ProgressiveSamplerConfig ucfg;
-  ucfg.num_samples = 20000;
-  ucfg.uniform_region = true;
-  ucfg.seed = 3;
-  ProgressiveSampler uniform(&oracle, ucfg);
-  EXPECT_NEAR(uniform.EstimateSelectivity(q), truth,
+  EXPECT_NEAR(UniformRegionSelectivity(&oracle, q, 20000, /*seed=*/3), truth,
               std::max(0.3 * truth, 0.02));
 }
 
@@ -158,14 +162,10 @@ TEST(Sampler, StdErrorConfidenceIntervalCoversExactMass) {
   size_t covered = 0;
   const size_t runs = 40;
   for (size_t i = 0; i < runs; ++i) {
-    ProgressiveSamplerConfig scfg;
-    scfg.num_samples = 300;
-    scfg.seed = 1000 + i;
-    ProgressiveSampler sampler(&model, scfg);
-    double se = -1;
-    const double est = sampler.EstimateWithStdError(q, &se);
-    ASSERT_GE(se, 0.0);
-    covered += (std::abs(est - exact) <= 2.0 * se + 1e-12);
+    NaruEstimator estimator(&model, Sampling(300, 1000 + i), 0);
+    const EstimateResult r = estimator.Estimate(q);
+    ASSERT_GE(r.std_error, 0.0);
+    covered += (std::abs(r.estimate - exact) <= 2.0 * r.std_error + 1e-12);
   }
   EXPECT_GE(covered, runs * 8 / 10) << covered << "/" << runs;
 }
@@ -176,23 +176,21 @@ TEST(Sampler, StdErrorIsZeroForExactCases) {
   cfg.hidden_sizes = {16};
   cfg.seed = 3;
   MadeModel model(domains, cfg);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 64;
-  ProgressiveSampler sampler(&model, scfg);
+  NaruEstimator estimator(&model, Sampling(64), 0);
 
-  double se = -1;
   // All-wildcard: exactly 1, no sampling.
   Query all({ValueSet::All(5), ValueSet::All(6)});
-  EXPECT_EQ(sampler.EstimateWithStdError(all, &se), 1.0);
-  EXPECT_EQ(se, 0.0);
+  EstimateResult r = estimator.Estimate(all);
+  EXPECT_EQ(r.estimate, 1.0);
+  EXPECT_EQ(r.std_error, 0.0);
   // Empty region: exactly 0.
   Query none({ValueSet::Empty(5), ValueSet::All(6)});
-  EXPECT_EQ(sampler.EstimateWithStdError(none, &se), 0.0);
-  EXPECT_EQ(se, 0.0);
+  r = estimator.Estimate(none);
+  EXPECT_EQ(r.estimate, 0.0);
+  EXPECT_EQ(r.std_error, 0.0);
   // Single leading filter: every path weight identical -> stderr 0.
   Query lead({ValueSet::Interval(5, 0, 2), ValueSet::All(6)});
-  sampler.EstimateWithStdError(lead, &se);
-  EXPECT_NEAR(se, 0.0, 1e-9);
+  EXPECT_NEAR(estimator.Estimate(lead).std_error, 0.0, 1e-9);
 }
 
 TEST(Sampler, StdErrorShrinksWithSampleCount) {
@@ -204,13 +202,8 @@ TEST(Sampler, StdErrorShrinksWithSampleCount) {
   Query q({ValueSet::Interval(6, 2, 5), ValueSet::Interval(5, 0, 2),
            ValueSet::All(4)});
   auto stderr_at = [&](size_t s, uint64_t seed) {
-    ProgressiveSamplerConfig scfg;
-    scfg.num_samples = s;
-    scfg.seed = seed;
-    ProgressiveSampler sampler(&model, scfg);
-    double se = 0;
-    sampler.EstimateWithStdError(q, &se);
-    return se;
+    NaruEstimator estimator(&model, Sampling(s, seed), 0);
+    return estimator.Estimate(q).std_error;
   };
   // ~1/sqrt(S): 16x more samples ~ 4x smaller stderr (generous factor 2).
   const double se_small = stderr_at(200, 5);
@@ -220,11 +213,11 @@ TEST(Sampler, StdErrorShrinksWithSampleCount) {
 }
 
 TEST(Sampler, ColumnStepPrimitiveReproducesFullWalk) {
-  // The sampler's per-column row kernel is exposed as SamplerColumnStep so
-  // the plan executor (src/plan) can share it. Re-assembling a whole
-  // estimate from the primitive — shard seeds, column steps, shard-order
-  // reduction — must reproduce EstimateSelectivity bit-for-bit; this
-  // pins the primitive's contract independently of either caller.
+  // SamplerColumnStep is the plan executor's per-column row kernel.
+  // Re-assembling a whole estimate from it — shard seeds, session column
+  // steps, shard-order reduction — must reproduce the reference walker
+  // (reference_walk.h) bit for bit; this pins the primitive's contract
+  // apart from the executor's stacking and forking.
   Table t = MakeRandomTable(500, {5, 6, 4, 5}, 19, /*skew=*/1.0);
   MadeModel::Config mcfg;
   mcfg.hidden_sizes = {24, 24};
@@ -240,21 +233,18 @@ TEST(Sampler, ColumnStepPrimitiveReproducesFullWalk) {
   Predicate p2{/*column=*/2, CompareOp::kGe, /*literal=*/1, 0, {}};
   Query q(t, {p1, p2});
 
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 200;
-  scfg.shard_size = 64;
-  scfg.seed = 23;
-  ProgressiveSampler sampler(&model, scfg);
-  const double want = sampler.EstimateSelectivity(q);
+  constexpr size_t kSamples = 200;
+  constexpr size_t kShard = 64;
+  constexpr uint64_t kSeed = 23;
+  const double want =
+      reference::Walk(&model, q, kSamples, kShard, kSeed).estimate;
 
   const int last_col = q.LastFilteredColumn();
   const size_t n = model.num_columns();
   double weight_sum = 0;
-  for (size_t k = 0; k < SamplerNumShards(scfg.num_samples, scfg.shard_size);
-       ++k) {
-    const size_t lo = k * scfg.shard_size;
-    const size_t rows = std::min(scfg.shard_size, scfg.num_samples - lo);
-    Rng rng(SamplerShardSeed(scfg.seed, k));
+  for (size_t k = 0; k < SamplerNumShards(kSamples, kShard); ++k) {
+    const size_t rows = std::min(kShard, kSamples - k * kShard);
+    Rng rng(SamplerShardSeed(kSeed, k));
     IntMatrix samples(rows, n);
     Matrix probs;
     std::vector<double> weights(rows, 1.0);
@@ -267,9 +257,11 @@ TEST(Sampler, ColumnStepPrimitiveReproducesFullWalk) {
                                         alive.data(), 0, rows},
                         &rng);
     }
-    for (double w : weights) weight_sum += w;
+    double shard_sum = 0;
+    for (double w : weights) shard_sum += w;
+    weight_sum += shard_sum;
   }
-  EXPECT_EQ(weight_sum / static_cast<double>(scfg.num_samples), want);
+  EXPECT_EQ(weight_sum / static_cast<double>(kSamples), want);
 }
 
 TEST(Enumerator, MatchesTruthOnOracle) {
@@ -308,11 +300,8 @@ TEST(Enumerator, MatchesProgressiveSamplingOnTrainedModel) {
   Query q(t, {p0, p2});
 
   const double enumerated = EnumerateSelectivity(&model, q);
-  ProgressiveSamplerConfig scfg;
-  scfg.num_samples = 20000;
-  scfg.seed = 21;
-  ProgressiveSampler sampler(&model, scfg);
-  const double sampled = sampler.EstimateSelectivity(q);
+  NaruEstimator estimator(&model, Sampling(20000, 21), 0);
+  const double sampled = estimator.EstimateSelectivity(q);
   EXPECT_NEAR(sampled, enumerated, std::max(0.1 * enumerated, 0.01));
 }
 

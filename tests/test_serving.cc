@@ -10,6 +10,7 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -517,8 +518,8 @@ TEST(InferenceEngine, TypedDefaultRequestsMatchSequential) {
   // Per-provenance result counters account for every delivered result.
   const EngineStats stats = typed_engine.stats();
   EXPECT_EQ(stats.results_cache_hit + stats.results_exact +
-                stats.results_enumerated + stats.results_sampled +
-                stats.results_planned + stats.results_shed,
+                stats.results_enumerated + stats.results_planned +
+                stats.results_shed,
             queries.size());
   EXPECT_EQ(stats.results_shed, 0u);
 }
@@ -1064,6 +1065,77 @@ TEST(InferenceEngine, MidWalkDeadlineAbandonsExactEnumeration) {
   EXPECT_FALSE(unbounded.stopped());
   EXPECT_TRUE(std::isfinite(small_v));
   EXPECT_GE(small_v, 0.0);
+}
+
+// Enumeration runs LogProbRows through the model's shared scratch, so
+// every route must hold the per-model enumeration lock: one-query
+// Estimates racing a batch on the same MadeModel must each return the
+// value a serial run gives.
+TEST(InferenceEngine, ConcurrentEnumerationsOnOneModelAreSerialized) {
+  Table table = SmallTable(163);
+  auto model = SmallTrainedModel(table, 163);
+  NaruEstimatorConfig ncfg;
+  ncfg.num_samples = 100;
+  ncfg.enumeration_threshold = 6000;
+  NaruEstimator est(model.get(), ncfg, 0);
+
+  std::vector<ValueSet> all;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    all.push_back(ValueSet::All(table.column(c).DomainSize()));
+  }
+  const auto domain = [&](size_t c) { return table.column(c).DomainSize(); };
+  auto wide = all;  // 5*5*9*4*6 = 5400 points: three LogProbRows batches
+  wide[0] = ValueSet::Interval(domain(0), 1, 5);
+  auto narrow = all;  // 2*5*9*4*6 = 2160 points
+  narrow[0] = ValueSet::Interval(domain(0), 0, 1);
+  auto sampled = all;  // 7*5*8*4*6 = 6720 points: over the threshold
+  sampled[2] = ValueSet::Interval(domain(2), 0, 7);
+  const Query enumerable(wide);
+  ASSERT_TRUE(est.ShouldEnumerate(enumerable));
+  ASSERT_TRUE(est.ShouldEnumerate(Query(narrow)));
+  std::vector<EstimateRequest> batch;
+  batch.emplace_back(Query(narrow));
+  batch.emplace_back(enumerable);
+  batch.emplace_back(Query(sampled));
+  ASSERT_FALSE(est.ShouldEnumerate(batch[2].query));
+
+  const double want = est.Estimate(enumerable).estimate;
+  InferenceEngineConfig ecfg;
+  ecfg.num_threads = 2;
+  ecfg.enable_cache = false;  // every batch enumerates again
+  InferenceEngine engine(ecfg);
+  std::vector<EstimateResult> want_batch;
+  engine.EstimateBatch(&est, batch, &want_batch);
+  EXPECT_EQ(want_batch[1].estimate, want);
+
+  constexpr int kRounds = 6;
+  std::vector<std::vector<double>> got(4);
+  std::vector<std::vector<EstimateResult>> got_batch(kRounds);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        got[t].push_back(est.Estimate(enumerable).estimate);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      engine.EstimateBatch(&est, batch, &got_batch[i]);
+    }
+  });
+  for (std::thread& th : threads) th.join();
+
+  for (size_t t = 0; t < got.size(); ++t) {
+    for (const double v : got[t]) EXPECT_EQ(v, want) << "thread " << t;
+  }
+  for (const std::vector<EstimateResult>& round : got_batch) {
+    ASSERT_EQ(round.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(round[i].estimate, want_batch[i].estimate) << "query " << i;
+    }
+    EXPECT_EQ(round[1].provenance, ResultProvenance::kEnumerated);
+  }
 }
 
 TEST(MultiOrderEnsemble, BatchMatchesSequential) {
