@@ -56,7 +56,8 @@ double MultiOrderEnsemble::EstimateSelectivity(const Query& query) {
 void MultiOrderEnsemble::EstimateBatch(const std::vector<Query>& queries,
                                        std::vector<double>* out) {
   // Each member serves the whole batch through its engine; summing member
-  // results in member order matches the sequential path bit for bit.
+  // results in member order matches one-query EstimateSelectivity bit for
+  // bit.
   out->assign(queries.size(), 0.0);
   std::vector<double> member_out;
   for (auto& m : members_) {

@@ -34,7 +34,7 @@ class Estimator {
   /// `out` (resized to queries.size()). The default loops over
   /// EstimateSelectivity; estimators with a cheaper amortized path (Naru's
   /// serving engine, the multi-order ensemble) override it. For a fixed
-  /// seed the batch results must equal the sequential ones exactly, so
+  /// seed the batch results must equal the one-query ones exactly, so
   /// callers may mix the two paths freely.
   virtual void EstimateBatch(const std::vector<Query>& queries,
                              std::vector<double>* out) {

@@ -40,9 +40,9 @@
 // micro-batch it lands in. EstimateBatch coalesces duplicates and serves
 // every distinct (query, budget) through the fixed-seed sharded plan
 // executor, and every cache entry is exact, so for a fixed seed Submit()
-// returns a value bit-identical to NaruEstimator::Estimate — regardless of arrival order,
-// batching boundaries, priority interleaving, thread count, or cache
-// eviction history (asserted in tests/test_serving_async.cc).
+// returns a value bit-identical to NaruEstimator::Estimate — regardless of
+// arrival order, batching boundaries, priority interleaving, thread count,
+// or cache eviction history (asserted in tests/test_serving_async.cc).
 #pragma once
 
 #include <array>

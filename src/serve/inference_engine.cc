@@ -219,7 +219,7 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   }
 
   // A caller-established serial region wins over the engine's own thread
-  // configuration — the same coarser-grain-wins rule the sampler follows.
+  // configuration: the coarser grain of parallelism wins.
   ThreadPool* p = ScopedSerialRegion::Active() ? nullptr : pool();
 
   // ONE keyed pass over the batch: each request's full memo key — the

@@ -242,8 +242,9 @@ class InferenceEngine {
   };
 
   /// Every routing step short of the sampled walk: memo lookup, empty
-  /// region, enumeration, trailing-wildcard exit, leading-only marginal. Returns true with *result filled when the
-  /// query resolved; false when it needs a progressive-sampling walk.
+  /// region, enumeration, trailing-wildcard exit, leading-only marginal.
+  /// Returns true with *result filled when the query resolved; false when
+  /// it needs a progressive-sampling walk.
   /// `memo_key` is the batch-hoisted full cache key (config prefix +
   /// canonical query bytes). `deadline` is the computation's deadline
   /// (joined over coalesced duplicates, WalkControl::Join): exact

@@ -3,9 +3,10 @@
 // and multi-query InferenceEngine::EstimateBatch must reproduce Algorithm
 // 1, written out plainly, bit for bit — estimate and standard error — for
 // every model family, at 1, 2 and 4 engine threads, at plan widths 1,
-// auto and 64, and under every inference kernel.
+// auto and 64, whole and in chunks, and under every inference kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/transformer.h"
 #include "data/datasets.h"
 #include "estimator/bayesnet.h"
+#include "plan/sampling_plan.h"
 #include "query/workload.h"
 #include "reference_walk.h"
 #include "serve/inference_engine.h"
@@ -116,17 +118,20 @@ Query QueryOn(const std::vector<size_t>& cols, int32_t hi = 2) {
 }
 
 /// Every answer shape: empty region, all-wildcard, leading-only, leading
-/// wildcards the plans share, shared constrained prefixes that fork, wide
-/// ranges over the embedded columns, a full-width query, and a random
-/// workload with IN-lists.
+/// wildcards the plans share, wide ranges over the embedded columns, a
+/// full-width query, and a random workload with IN-lists. Two families
+/// share a constrained prefix and fork after it: {0,1,3}, {0,1,4} and
+/// {0,1,5} share [1,2] on columns 0 and 1; {2,3} and {2,5} share [1,2] on
+/// column 2 behind two leading wildcards.
 std::vector<Query> WalkQueries(const Table& table) {
   std::vector<ValueSet> empty;
   for (size_t d : kDomains) empty.push_back(ValueSet::All(d));
   empty[3] = ValueSet::Empty(kDomains[3]);
   std::vector<Query> queries = {
-      Query(empty),           QueryOn({}),          QueryOn({0}),
-      QueryOn({2, 4}, 20),    QueryOn({3, 5}),      QueryOn({0, 1, 3}),
-      QueryOn({0, 1, 4}, 30), QueryOn({1, 2}, 9),   QueryOn({4}, 50),
+      Query(empty), QueryOn({}), QueryOn({0}), QueryOn({2, 4}, 20),
+      QueryOn({3, 5}), QueryOn({0, 1, 3}), QueryOn({0, 1, 4}),
+      QueryOn({0, 1, 5}), QueryOn({2, 3}), QueryOn({2, 5}),
+      QueryOn({0, 1, 4}, 30), QueryOn({1, 2}, 9), QueryOn({4}, 50),
       QueryOn({0, 1, 2, 3, 4, 5}, 3)};
   WorkloadConfig wcfg;
   wcfg.num_queries = 8;
@@ -157,6 +162,22 @@ TEST_P(ReferenceWalkTest, EveryRouteMatchesTheWalkerBitForBit) {
   std::unique_ptr<ConditionalModel> model = Build(family, table);
   const std::vector<Query> queries = WalkQueries(table);
 
+  // Each constrained-prefix family compiles to one tree that forks after
+  // the shared constrained segment (the Ordered model walks its columns
+  // in another order, where these queries share no prefix).
+  if (family != "ordered") {
+    for (const std::vector<Query>& fam :
+         {std::vector<Query>{QueryOn({0, 1, 3}), QueryOn({0, 1, 4}),
+                             QueryOn({0, 1, 5})},
+          std::vector<Query>{QueryOn({2, 3}), QueryOn({2, 5})}}) {
+      std::vector<const Query*> ptrs;
+      for (const Query& q : fam) ptrs.push_back(&q);
+      const SamplingPlan plan = CompileSamplingPlan(model.get(), ptrs);
+      EXPECT_EQ(plan.trees.size(), 1u);
+      EXPECT_GE(plan.MaxForkDepth(), 1u);
+    }
+  }
+
   for (const KernelKind kernel : KernelsOf(family)) {
     SCOPED_TRACE(std::string("kernel ") + KernelKindName(kernel));
     NaruEstimatorConfig ecfg;
@@ -181,35 +202,42 @@ TEST_P(ReferenceWalkTest, EveryRouteMatchesTheWalkerBitForBit) {
     }
 
     // Every query that is not an exact shortcut walks through the plan
-    // executor, whatever the model.
+    // executor, whatever the model. The batch is served whole and in
+    // chunks of 5: different plans, so different forks and relayouts.
     size_t num_sampled = 0;
-    std::vector<EstimateRequest> requests;
     for (const Query& q : queries) {
-      requests.emplace_back(q);
       num_sampled += est.sampler()->Classify(q) ==
                      ProgressiveSampler::Path::kSampled;
     }
     ASSERT_GT(num_sampled, 0u);
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
       for (const size_t width : {size_t{1}, size_t{0}, size_t{64}}) {
-        InferenceEngineConfig cfg;
-        cfg.num_threads = threads;
-        cfg.group_width = width;  // 0 = AutoGroupWidth
-        cfg.enable_cache = false;
-        InferenceEngine engine(cfg);
-        std::vector<EstimateResult> got;
-        engine.EstimateBatch(&est, requests, &got);
-        ASSERT_EQ(got.size(), queries.size());
-        for (size_t i = 0; i < queries.size(); ++i) {
-          ASSERT_TRUE(got[i].ok()) << got[i].status.ToString();
-          EXPECT_EQ(got[i].estimate, want[i].estimate)
-              << "threads " << threads << " width " << width << " query "
-              << i;
-          EXPECT_EQ(got[i].std_error, want[i].std_error)
-              << "threads " << threads << " width " << width << " query "
-              << i;
+        for (const size_t chunk : {queries.size(), size_t{5}}) {
+          InferenceEngineConfig cfg;
+          cfg.num_threads = threads;
+          cfg.group_width = width;  // 0 = AutoGroupWidth
+          cfg.enable_cache = false;
+          InferenceEngine engine(cfg);
+          for (size_t lo = 0; lo < queries.size(); lo += chunk) {
+            const size_t hi = std::min(queries.size(), lo + chunk);
+            std::vector<EstimateRequest> requests;
+            for (size_t i = lo; i < hi; ++i) requests.emplace_back(queries[i]);
+            std::vector<EstimateResult> got;
+            engine.EstimateBatch(&est, requests, &got);
+            ASSERT_EQ(got.size(), hi - lo);
+            for (size_t i = lo; i < hi; ++i) {
+              const EstimateResult& r = got[i - lo];
+              ASSERT_TRUE(r.ok()) << r.status.ToString();
+              EXPECT_EQ(r.estimate, want[i].estimate)
+                  << "threads " << threads << " width " << width << " chunk "
+                  << chunk << " query " << i;
+              EXPECT_EQ(r.std_error, want[i].std_error)
+                  << "threads " << threads << " width " << width << " chunk "
+                  << chunk << " query " << i;
+            }
+          }
+          EXPECT_EQ(engine.stats().planned_queries, num_sampled);
         }
-        EXPECT_EQ(engine.stats().planned_queries, num_sampled);
       }
     }
   }
