@@ -32,8 +32,7 @@ BenchEnv GetBenchEnv() {
       std::clamp<int64_t>(GetEnvInt("NARU_BATCH", 0), 0, 1 << 20));
   const std::string kernel_name = GetEnvString("NARU_KERNEL", "scalar");
   if (!ParseKernelKind(kernel_name, &env.kernel)) {
-    std::fprintf(stderr,
-                 "unknown NARU_KERNEL '%s' (want scalar | simd | simd_int8)\n",
+    std::fprintf(stderr, "unknown NARU_KERNEL '%s' (want scalar | simd)\n",
                  kernel_name.c_str());
     std::exit(2);
   }

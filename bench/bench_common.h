@@ -20,7 +20,7 @@
 //   NARU_MAX_BATCH       async micro-batch flush size
 //   NARU_MAX_WAIT_MS     async micro-batch flush deadline
 //   NARU_CACHE_BUDGET_MB per-model exact-result cache budget
-//   NARU_KERNEL          inference kernel: scalar | simd | simd_int8
+//   NARU_KERNEL          inference kernel: scalar | simd
 //   NARU_SMOKE           CI preset: tiny model, no arrival sleeps
 //
 // Every knob is also reachable as a command-line flag through

@@ -1,5 +1,5 @@
 // Micro-benchmark for the kernel layer (tensor/gemm.cc, gemm_simd.cc):
-// GFLOP/s of scalar vs SIMD vs int8 GEMM at the shapes the MADE serving
+// GFLOP/s of scalar vs SIMD GEMM at the shapes the MADE serving
 // path actually runs, plus the NT head-reuse shapes (a small one and the
 // perfbench column-6 head). Single-threaded on purpose
 // (ScopedSerialRegion) so the numbers measure the kernels, not the pool.
@@ -39,8 +39,6 @@
 #include "tensor/gemm.h"
 #include "tensor/kernel.h"
 #include "tensor/matrix.h"
-#include "tensor/quant.h"
-#include "util/macros.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -147,8 +145,7 @@ bool RunWalkRows(double min_seconds, size_t rows, BenchJsonWriter* json,
               "session_ms", "stateless_ms", "speedup", "slowest_col");
   bool ok = true;
   *session_slower = false;
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
     model.SetInferenceKernel(kernel);
     std::vector<Matrix> session_probs(n), stateless_probs(n);
     // Best-of time of each column step across the timed session walks.
@@ -206,7 +203,7 @@ int Run() {
   // The scalar kernel's register tile: 4x16 (256-bit) on AVX2 hosts, else
   // 4x8 (128-bit). Same bits either way, different speed.
   const size_t scalar_tile_cols = ScalarTileCols();
-  PrintBanner("Micro GEMM: scalar vs simd vs simd_int8",
+  PrintBanner("Micro GEMM: scalar vs simd",
               StrFormat("%s; scalar tile 4x%zu (%zu-bit); window=%.0fms%s",
                         SimdDispatchString().c_str(), scalar_tile_cols,
                         scalar_tile_cols * 16, min_seconds * 1e3,
@@ -252,39 +249,27 @@ int Run() {
     const bool nt = std::string(cs.op) == "nt";
     Matrix b(nt ? cs.n : cs.k, nt ? cs.k : cs.n);
     FillRandom(&b, &rng);
-    QuantizedWeights q;
-    if (!nt) QuantizeWeightsPerColumn(b, &q);
 
     Matrix ref, out;
     double scalar_gflops = 0;
-    // Kernel sweep; int8 only exists for the NN weight path.
-    std::vector<std::string> kernels = {"scalar", "simd"};
-    if (!nt) kernels.push_back("simd_int8");
-    for (const std::string& kname : kernels) {
+    for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
+      const std::string kname = KernelKindName(kernel);
       double gflops = 0;
-      if (kname == "simd_int8") {
+      if (nt) {
         gflops = TimeGflops(cs, min_seconds,
-                            [&] { GemmNNInt8(a, q, &out, false, hint); });
+                            [&] { GemmNT(a, b, &out, false, kernel); });
       } else {
-        KernelKind kernel = KernelKind::kScalar;
-        NARU_CHECK(ParseKernelKind(kname, &kernel));
-        if (nt) {
-          gflops = TimeGflops(cs, min_seconds,
-                              [&] { GemmNT(a, b, &out, false, kernel); });
-        } else {
-          gflops = TimeGflops(cs, min_seconds, [&] {
-            GemmNN(a, b, &out, false, kernel, hint);
-          });
-        }
+        gflops = TimeGflops(cs, min_seconds,
+                            [&] { GemmNN(a, b, &out, false, kernel, hint); });
       }
       double rel_err = 0;
-      if (kname == "scalar") {
+      if (kernel == KernelKind::kScalar) {
         scalar_gflops = gflops;
         ref = out;
       } else {
         rel_err = MaxRelErr(ref, out);
-        // fp32 kernels reassociate only; int8 adds quantization error.
-        const double bound = kname == "simd_int8" ? 5e-2 : 1e-3;
+        // The SIMD kernels reassociate (FMA) but compute the same sums.
+        const double bound = 1e-3;
         if (rel_err > bound) {
           std::printf("FAIL: %s/%s rel err %.3g exceeds %.3g\n", cs.name,
                       kname.c_str(), rel_err, bound);

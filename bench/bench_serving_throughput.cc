@@ -22,16 +22,16 @@
 // tuples) — the two structures hierarchical plan trees (src/plan) fuse.
 //
 // A second phase compares inference KERNELS (tensor/kernel.h) at the
-// largest grid point: scalar vs simd vs simd_int8, each with a fresh
+// largest grid point: scalar vs simd, each with a fresh
 // estimator + engine, reporting qps, q-error quantiles against executed
 // ground truth, and a bit-determinism check across thread counts within
 // each kernel. Emits BENCH_serving_throughput.json (shared schema,
 // row_schema v2: grid rows carry "plan": "tree", the one engine route).
 //
 // Knobs (env or flags, see bench_common.h):
-//   --kernel K          kernel for the GRID phase: scalar|simd|simd_int8
-//                       (default scalar; the kernel phase always runs all
-//                       three)
+//   --kernel K          kernel for the GRID phase: scalar|simd
+//                       (default scalar; the kernel phase always runs
+//                       both)
 //   --threads N         restrict the engine thread grid to {N}  (default 2/4/8)
 //   --batch N           restrict the batch grid to {N}          (default 1/8/64)
 //   --serve-requests N  trace length                            (default 512)
@@ -45,11 +45,9 @@
 //                       default) or a fixed positive integer
 //   --smoke             CI preset: tiny model/trace, single grid point;
 //                       exits nonzero if the engine's estimates differ
-//                       from the sequential baseline's, if a kernel is
-//                       non-deterministic across thread counts, or if
-//                       int8's median q-error shifts >5% vs fp32
+//                       from the sequential baseline's, or if a kernel is
+//                       non-deterministic across thread counts
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -285,9 +283,8 @@ int Run() {
   const std::vector<int64_t> pool_cards = ExecuteCounts(table, pool);
 
   bool kernels_ok = true;
-  double scalar_qps = 0, scalar_median = 0, int8_median = 0;
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  double scalar_qps = 0;
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
     NaruEstimatorConfig kcfg = ncfg;
     kcfg.kernel = kernel;
     NaruEstimator kest(model.get(), kcfg, model->SizeBytes());
@@ -307,11 +304,7 @@ int Run() {
                       static_cast<double>(pool_cards[trace_tpl[i]])));
     }
     const ErrorQuantiles eq = ComputeErrorQuantiles(qerr);
-    if (kernel == KernelKind::kScalar) {
-      scalar_qps = qps;
-      scalar_median = eq.median;
-    }
-    if (kernel == KernelKind::kSimdInt8) int8_median = eq.median;
+    if (kernel == KernelKind::kScalar) scalar_qps = qps;
     const double speedup = scalar_qps > 0 ? qps / scalar_qps : 0.0;
     std::printf("%-10s %10.1f %8.2fx %9.3f %9.3f %9.3f %6s\n",
                 KernelKindName(kernel), qps, speedup, eq.median, eq.p95,
@@ -327,21 +320,9 @@ int Run() {
                  {"qerr_max", eq.max},
                  {"deterministic_across_threads", deterministic}});
   }
-  // Quantization is allowed to move accuracy, but only barely: the int8
-  // median q-error must stay within 5% of the fp32 one.
-  const double int8_shift =
-      scalar_median > 0 ? std::fabs(int8_median - scalar_median) / scalar_median
-                        : 0.0;
-  std::printf("int8 median q-error shift vs fp32: %.2f%% (bound 5%%)\n",
-              int8_shift * 100.0);
-  json.SetConfig("int8_median_qerr_shift", int8_shift);
   json.Write();
   if (!kernels_ok) {
     std::printf("FAIL: kernel estimates not bit-identical across threads\n");
-  }
-  if (smoke && int8_shift > 0.05) {
-    std::printf("FAIL: int8 q-error shift exceeds 5%%\n");
-    kernels_ok = false;
   }
   return all_identical && kernels_ok ? 0 : 1;
 }

@@ -123,7 +123,7 @@ int Usage() {
                "host:port [--tenant NAME]\n"
                "    serve flags: --async --max-batch N --max-wait-ms X "
                "--max-pending N --cache-budget-mb N\n"
-               "    estimate/serve: --kernel scalar|simd|simd_int8 "
+               "    estimate/serve: --kernel scalar|simd "
                "(inference kernel; default scalar)\n"
                "    trace line prefix: @<ms> arrival, ^high|^low priority, "
                "~<ms> deadline\n");
@@ -165,9 +165,7 @@ KernelKind CliKernel() {
   const std::string name = GetEnvString("NARU_KERNEL", "scalar");
   KernelKind kernel = KernelKind::kScalar;
   if (!ParseKernelKind(name, &kernel)) {
-    std::fprintf(stderr,
-                 "error: unknown --kernel '%s' "
-                 "(want scalar | simd | simd_int8)\n",
+    std::fprintf(stderr, "error: unknown --kernel '%s' (want scalar | simd)\n",
                  name.c_str());
     std::exit(2);
   }

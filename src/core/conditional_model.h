@@ -139,8 +139,7 @@ class ConditionalModel {
 
   /// Selects the kernel family the INFERENCE forward paths use
   /// (ConditionalDist, sessions, LogProbRows); training always stays
-  /// scalar fp32. kSimdInt8 additionally (re)quantizes the model's linear
-  /// weights into int8 side panels. The setting is model-wide state: all
+  /// scalar fp32. The setting is model-wide state: all
   /// sessions observe it, so wrapping one model with estimators of
   /// different kernels is unsupported (last set wins) — use one model
   /// instance per kernel to A/B. Default: no-op (model stays scalar) for

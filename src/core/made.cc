@@ -89,10 +89,6 @@ MadeModel::MadeModel(std::vector<size_t> domains, Config config)
 
 void MadeModel::SetInferenceKernel(KernelKind kernel) {
   inference_kernel_ = kernel;
-  if (kernel == KernelKind::kSimdInt8) {
-    for (auto& h : hidden_) h.PrepareInt8Inference();
-    for (auto& head : heads_) head.fc->PrepareInt8Inference();
-  }
 }
 
 bool MadeModel::HasSkip(size_t layer) const {
@@ -166,8 +162,6 @@ void MadeModel::HeadForward(size_t col, EvalContext* ctx, Matrix* block,
                    hint);  // (B x h)
   const Embedding* emb = encoder_.embedding(col);
   NARU_CHECK(emb != nullptr);
-  // Embedding-reuse logits stay fp32 (SIMD when enabled): the table is
-  // shared with the input encoding, so it is not quantized.
   GemmNT(ctx->head_tmp, emb->table().value, block, /*accumulate=*/false,
          kernel);  // (B x D)
 }

@@ -84,10 +84,7 @@ class MadeModel : public ConditionalModel, public TrainableModel {
   std::unique_ptr<SamplingSession> StartSession(size_t batch) override;
   bool SupportsConcurrentSampling() const override { return true; }
   /// Switches the inference forward paths (ConditionalDist*, LogProbRows,
-  /// sessions) to `kernel`; training stays scalar. kSimdInt8 (re)quantizes
-  /// every hidden layer and head into int8 panels; the embedding-reuse
-  /// logits GEMM stays fp32 SIMD (the embedding table doubles as an input
-  /// encoder, so it is not quantized).
+  /// sessions) to `kernel`; training stays scalar.
   void SetInferenceKernel(KernelKind kernel) override;
   KernelKind inference_kernel() const override { return inference_kernel_; }
   /// The widest hidden layer dominates the stacked GEMM chain (linear

@@ -40,9 +40,9 @@ struct NaruEstimatorConfig {
   size_t shard_size = 128;
   /// Kernel family for the model's inference forward passes (tensor layer;
   /// see kernel.h). Applied to the wrapped model at construction. Scalar is
-  /// the bit-stable default; simd / simd_int8 trade bit-compatibility with
-  /// scalar for speed (each is still bit-deterministic across thread
-  /// counts and batch sizes on its own), so the kernel participates in
+  /// the bit-stable default; simd trades bit-compatibility with scalar for
+  /// speed (it is still bit-deterministic across thread counts and batch
+  /// sizes on its own), so the kernel participates in
   /// serving memo keys. NOTE: the kernel is model-wide state — wrapping
   /// one model with estimators of different kernels is unsupported (the
   /// last constructed wins); use one model instance per kernel to A/B.

@@ -259,8 +259,6 @@ void TransformerModel::HeadForward(size_t col, size_t batch, size_t seq_len,
     std::memcpy(ybuf_.Row(b), y_.Row(b * seq_len + col), e * sizeof(float));
   }
   if (config_.embedding_reuse) {
-    // Tied logits stay fp32 (SIMD when enabled): the embedding table is
-    // shared with the input encoding and is not quantized.
     GemmNT(ybuf_, embeds_[col]->table().value, &logits_,
            /*accumulate=*/false, kernel);
   } else {
@@ -278,7 +276,6 @@ void TransformerModel::HeadForwardWith(EvalContext* ctx, size_t col,
                 e * sizeof(float));
   }
   if (config_.embedding_reuse) {
-    // Tied logits stay fp32 (SIMD when enabled), as in HeadForward.
     GemmNT(ctx->ybuf, embeds_[col]->table().value, &ctx->logits,
            /*accumulate=*/false, kernel);
   } else {
@@ -325,17 +322,6 @@ std::unique_ptr<SamplingSession> TransformerModel::StartSession(size_t batch) {
 
 void TransformerModel::SetInferenceKernel(KernelKind kernel) {
   inference_kernel_ = kernel;
-  if (kernel != KernelKind::kSimdInt8) return;
-  for (auto& blk : blocks_) {
-    blk.wq.PrepareInt8Inference();
-    blk.wk.PrepareInt8Inference();
-    blk.wv.PrepareInt8Inference();
-    blk.wo.PrepareInt8Inference();
-    blk.ffn.PrepareInt8Inference();
-  }
-  for (auto& h : heads_) {
-    if (h) h->PrepareInt8Inference();
-  }
 }
 
 void TransformerModel::LogProbRows(const IntMatrix& tuples,

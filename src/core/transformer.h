@@ -90,10 +90,9 @@ class TransformerModel : public ConditionalModel, public TrainableModel {
   }
   void LogProbRows(const IntMatrix& tuples,
                    std::vector<double>* out_nats) override;
-  /// Switches inference GEMMs (projections, FFN, untied heads) to `kernel`;
-  /// training stays scalar. kSimdInt8 quantizes those Linears; embedding
-  /// tables (input encoding + tied logits) and the per-head attention math
-  /// stay fp32.
+  /// Switches inference GEMMs (projections, FFN, heads, tied logits) to
+  /// `kernel`; training stays scalar, and so does the per-head attention
+  /// math.
   void SetInferenceKernel(KernelKind kernel) override;
   KernelKind inference_kernel() const override { return inference_kernel_; }
 

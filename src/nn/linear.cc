@@ -12,11 +12,7 @@ Linear::Linear(std::string name, size_t in_dim, size_t out_dim, Rng* rng)
 
 void Linear::Forward(const Matrix& x, Matrix* y, KernelKind kernel,
                      InputHint hint) const {
-  if (kernel == KernelKind::kSimdInt8 && q8_.valid()) {
-    GemmNNInt8(x, q8_, y, /*accumulate=*/false, hint);
-  } else {
-    GemmNN(x, w_.value, y, /*accumulate=*/false, kernel, hint);
-  }
+  GemmNN(x, w_.value, y, /*accumulate=*/false, kernel, hint);
   AddBiasRows(b_.value, y);
 }
 
@@ -24,10 +20,6 @@ void Linear::Backward(const Matrix& x, const Matrix& dy, Matrix* dx) {
   GemmTN(x, dy, &w_.grad, /*accumulate=*/true);
   AccumulateBiasGrad(dy, &b_.grad);
   if (dx != nullptr) GemmNT(dy, w_.value, dx);
-}
-
-void Linear::PrepareInt8Inference() {
-  QuantizeWeightsPerColumn(w_.value, &q8_);
 }
 
 }  // namespace naru

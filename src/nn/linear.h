@@ -6,15 +6,14 @@
 // across batch sizes.
 //
 // Forward takes a KernelKind (kernel.h): the default kScalar is the
-// reference path; kSimd runs the blocked SIMD kernels; kSimdInt8 uses the
-// int8 weight panel prepared by PrepareInt8Inference (falling back to fp32
-// SIMD when none is prepared). Backward is training-only and always scalar.
+// reference path; kSimd runs the blocked SIMD kernels. Backward is
+// training-only and always scalar.
 #pragma once
 
 #include <string>
 
 #include "nn/parameter.h"
-#include "tensor/quant.h"
+#include "tensor/gemm.h"
 #include "util/random.h"
 
 namespace naru {
@@ -37,14 +36,6 @@ class Linear {
   /// dx == nullptr, e.g. at the first layer).
   void Backward(const Matrix& x, const Matrix& dy, Matrix* dx);
 
-  /// (Re)quantizes the current weights into the int8 side panel used by
-  /// kSimdInt8 forwards. Call after weights settle (model load / end of
-  /// training); training updates do NOT requantize automatically.
-  void PrepareInt8Inference();
-  /// Drops the int8 panel (kSimdInt8 forwards fall back to fp32 SIMD).
-  void ClearInt8Inference() { q8_.Clear(); }
-  const QuantizedWeights& int8_weights() const { return q8_; }
-
   Parameter& weight() { return w_; }
   Parameter& bias() { return b_; }
   const Parameter& weight() const { return w_; }
@@ -59,7 +50,6 @@ class Linear {
  private:
   Parameter w_;  // (in x out)
   Parameter b_;  // (1 x out)
-  QuantizedWeights q8_;
 };
 
 }  // namespace naru

@@ -19,11 +19,7 @@ MaskedLinear::MaskedLinear(std::string name, size_t in_dim, size_t out_dim,
 void MaskedLinear::Forward(const Matrix& x, Matrix* y, KernelKind kernel,
                            InputHint hint) const {
   // Weights are maintained pre-masked, so the plain GEMM is correct.
-  if (kernel == KernelKind::kSimdInt8 && q8_.valid()) {
-    GemmNNInt8(x, q8_, y, /*accumulate=*/false, hint);
-  } else {
-    GemmNN(x, w_.value, y, /*accumulate=*/false, kernel, hint);
-  }
+  GemmNN(x, w_.value, y, /*accumulate=*/false, kernel, hint);
   AddBiasRows(b_.value, y);
 }
 
@@ -31,13 +27,8 @@ void MaskedLinear::ForwardColumns(const Matrix& x,
                                   const std::vector<size_t>& cols, Matrix* y,
                                   ColumnPanel* panel, KernelKind kernel,
                                   InputHint hint) const {
-  if (kernel == KernelKind::kSimdInt8 && q8_.valid()) {
-    GatherQuantizedColumns(q8_, cols, &panel->q8);
-    GemmNNInt8(x, panel->q8, y, /*accumulate=*/false, hint);
-  } else {
-    GatherColumns(w_.value, cols, &panel->w);
-    GemmNN(x, panel->w, y, /*accumulate=*/false, kernel, hint);
-  }
+  GatherColumns(w_.value, cols, &panel->w);
+  GemmNN(x, panel->w, y, /*accumulate=*/false, kernel, hint);
   GatherColumns(b_.value, cols, &panel->b);
   AddBiasRows(panel->b, y);
 }
@@ -60,10 +51,6 @@ void MaskedLinear::ProjectWeights() {
   const float* m = mask_.data();
   float* w = w_.value.data();
   for (size_t i = 0; i < w_.value.size(); ++i) w[i] *= m[i];
-}
-
-void MaskedLinear::PrepareInt8Inference() {
-  QuantizeWeightsPerColumn(w_.value, &q8_);
 }
 
 }  // namespace naru

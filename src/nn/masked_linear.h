@@ -11,18 +11,17 @@
 #include <vector>
 
 #include "nn/parameter.h"
-#include "tensor/quant.h"
+#include "tensor/gemm.h"
 #include "util/random.h"
 
 namespace naru {
 
 /// Caller-owned scratch for MaskedLinear::ForwardColumns: the weight
-/// columns (fp32 or int8 with their scales) and biases of one output-unit
-/// subset, gathered from the layer on every call.
+/// columns and biases of one output-unit subset, gathered from the layer on
+/// every call.
 struct ColumnPanel {
   Matrix w;
   Matrix b;
-  QuantizedWeights q8;
 };
 
 class MaskedLinear {
@@ -34,17 +33,15 @@ class MaskedLinear {
   size_t in_dim() const { return w_.value.rows(); }
   size_t out_dim() const { return w_.value.cols(); }
 
-  /// Same kernel semantics as Linear::Forward. The int8 panel (when
-  /// prepared) quantizes the pre-masked weights, so masked entries stay
-  /// exactly zero in int8 too.
+  /// Same kernel semantics as Linear::Forward.
   void Forward(const Matrix& x, Matrix* y,
                KernelKind kernel = KernelKind::kScalar,
                InputHint hint = InputHint::kDense) const;
 
   /// Forward restricted to the output units `cols`: y (batch x
   /// cols.size()) holds columns cols[0], cols[1], ... of Forward(x). The
-  /// panel is gathered from the current weights (and int8 panel) on each
-  /// call, so it cannot go stale after training or requantization. Every
+  /// panel is gathered from the current weights on each call, so it cannot
+  /// go stale after training. Every
   /// GEMM kernel reduces each output element over ascending k on its own,
   /// so the results are bit-identical to the matching columns of Forward.
   void ForwardColumns(const Matrix& x, const std::vector<size_t>& cols,
@@ -71,16 +68,10 @@ class MaskedLinear {
   /// (and defensively after optimizer steps in debug builds).
   void ProjectWeights();
 
-  /// (Re)quantizes the current (pre-masked) weights for kSimdInt8 forwards.
-  void PrepareInt8Inference();
-  void ClearInt8Inference() { q8_.Clear(); }
-  const QuantizedWeights& int8_weights() const { return q8_; }
-
  private:
   Parameter w_;
   Parameter b_;
   Matrix mask_;
-  QuantizedWeights q8_;
 };
 
 }  // namespace naru

@@ -32,11 +32,6 @@ class Mlp {
   void ForwardInference(const Matrix& x, Matrix* y,
                         KernelKind kernel = KernelKind::kScalar) const;
 
-  /// (Re)quantizes every layer for kSimdInt8 inference (see Linear).
-  void PrepareInt8Inference() {
-    for (auto& l : layers_) l.PrepareInt8Inference();
-  }
-
   /// Backpropagates dy (w.r.t. the last Forward output), accumulating
   /// parameter grads; writes dx unless nullptr.
   void Backward(const Matrix& dy, Matrix* dx);

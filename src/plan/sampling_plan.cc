@@ -70,11 +70,9 @@ size_t AutoGroupWidth(size_t width_hint, KernelKind kernel,
   if (width_hint == 0) return 32;  // no hint: the PR 3 cap
   // Target stacked rows per GEMM: the scalar ikj loops peak early and
   // then just burn cache, while the blocked SIMD kernels keep scaling to
-  // a few thousand stacked rows (bench_micro_gemm), and the int8 path —
-  // half the weight traffic — to roughly twice that.
+  // a few thousand stacked rows (bench_micro_gemm).
   size_t target_rows = 1024;
   if (kernel == KernelKind::kSimd) target_rows = 4096;
-  if (kernel == KernelKind::kSimdInt8) target_rows = 8192;
   // Wider hidden layers fill the cache with fewer rows; narrow ones need
   // more rows to amortize the per-GEMM fixed cost.
   if (width_hint >= 512) target_rows /= 2;

@@ -40,8 +40,8 @@ Mutex& EnumerationMutexFor(const ConditionalModel* model) {
 std::string MemoPrefix(const NaruEstimatorConfig& cfg, size_t eff_samples) {
   // shard_size is part of the key: the shard layout defines the RNG
   // streams, so two estimators differing only in it produce different
-  // sampled estimates. The kernel is part of the key because simd /
-  // simd_int8 estimates are not bit-identical to scalar ones.
+  // sampled estimates. The kernel is part of the key because simd
+  // estimates are not bit-identical to scalar ones.
   return StrFormat("%zu|%zu|%llu|%zu|%d|", eff_samples,
                    cfg.enumeration_threshold,
                    static_cast<unsigned long long>(cfg.sampler_seed),

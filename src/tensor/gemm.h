@@ -10,10 +10,9 @@
 // GemmNN and GemmNT take a KernelKind: kScalar runs the portable
 // register-tiled reference kernel in gemm.cc (per element: separately
 // rounded multiply and add, ascending k, no FMA; the same bits at either
-// tile width), kSimd (and kSimdInt8, which only differs at the layer
-// level — see quant.h) runs the cache-blocked SIMD kernels in
-// gemm_simd.cc behind runtime CPU dispatch (kernel.h). GemmTN is
-// training-only and stays scalar.
+// tile width), kSimd runs the cache-blocked SIMD kernels in gemm_simd.cc
+// behind runtime CPU dispatch (kernel.h). GemmTN is training-only and
+// stays scalar.
 //
 // Determinism: work is partitioned by output row and each row's reduction
 // order is fixed, so for a FIXED kernel the result is bit-identical across

@@ -1,8 +1,7 @@
-// Internal raw-pointer row-range kernels behind GemmNN/GemmNT (gemm.h) and
-// GemmNNInt8 (quant.h). Not part of the public tensor API; gemm.cc and
-// quant.cc call these from inside their ParallelFor row partitions, and
-// tests reach them indirectly through the public entry points plus the
-// SimdLevel test override (kernel.h).
+// Internal raw-pointer row-range kernels behind GemmNN/GemmNT (gemm.h). Not
+// part of the public tensor API; gemm.cc calls these from inside its
+// ParallelFor row partitions, and tests reach them indirectly through the
+// public entry points plus the SimdLevel test override (kernel.h).
 //
 // Conventions shared by all kernels here:
 //   - All strides are in elements. Pointers from Matrix are 64-byte aligned
@@ -10,15 +9,14 @@
 //     require that reading/writing the full padded width is legal.
 //   - Each call owns C rows [lo, hi) exclusively; kernels always accumulate
 //     into C (callers zero C first for the non-accumulate case).
-//   - Padding columns of B (and the int8 weight panel / its scales) are
-//     zero, so accumulating over the padded width leaves C padding zero.
+//   - Padding columns of B are zero, so accumulating over the padded width
+//     leaves C padding zero.
 //   - Per C element the reduction order is fixed (ascending k, one
 //     accumulator chain), independent of [lo, hi): bit-identical results
 //     across thread counts for a fixed dispatch level.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace naru {
 namespace gemm_detail {
@@ -38,15 +36,6 @@ void NNRowsSimd(const float* a, size_t lda, const float* b, size_t ldb,
 void NTRowsSimd(const float* a, size_t lda, const float* b, size_t ldb,
                 float* c, size_t ldc, size_t lo, size_t hi, size_t kpad,
                 size_t n);
-
-/// C rows [lo, hi) += A * (int8 weights * per-column scales). Weights are
-/// (k x n) int8 with leading dim ldq; `scales` has ldq entries (padding
-/// zero). Accumulation is fp32 per output element with the per-column scale
-/// applied once at the end: c[i][j] += scales[j] * sum_k a[i][k]*q[k][j].
-/// REQUIRES ldq == ldc.
-void NNRowsInt8(const float* a, size_t lda, const int8_t* q, size_t ldq,
-                const float* scales, float* c, size_t ldc, size_t lo,
-                size_t hi, size_t k, bool onehot_a);
 
 }  // namespace gemm_detail
 }  // namespace naru

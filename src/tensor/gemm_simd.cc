@@ -12,9 +12,7 @@
 // broadcast-A/FMA inner loops want — rows of B stream contiguously and
 // vector loads never straddle cache lines — so fp32 kernels need no
 // separate packing pass at MADE/transformer sizes (K, N ≲ a few hundred;
-// the active B panel fits in L2). The int8 path is where packing happens
-// for real: quant.cc lays out the quantized panel padded + aligned at
-// model-load time, once, and this file's int8 kernels stream it.
+// the active B panel fits in L2).
 //
 // Determinism: every kernel fixes the per-C-element reduction order to
 // ascending k with a single accumulator chain (SIMD lanes are independent
@@ -23,9 +21,6 @@
 // MR=1 paths, which perform the same lane-wise operation sequence.
 
 #include "tensor/gemm_kernels.h"
-
-#include <algorithm>
-#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -82,30 +77,6 @@ void NTRowsPortable(const float* a, size_t lda, const float* b, size_t ldb,
       for (size_t kk = 0; kk < kpad; ++kk) acc += arow[kk] * brow[kk];
       crow[j] += acc;
     }
-  }
-}
-
-void NNRowsInt8Portable(const float* a, size_t lda, const int8_t* q,
-                        size_t ldq, const float* scales, float* c, size_t ldc,
-                        size_t lo, size_t hi, size_t k, bool onehot_a) {
-  // Axpy into a row-sized fp32 accumulator so the int8 panel streams
-  // row-major, then apply the per-column scales once. The accumulator is
-  // per-thread scratch that only grows, so steady calls do not allocate.
-  thread_local std::vector<float> acc;
-  if (acc.size() < ldc) acc.resize(ldc);
-  for (size_t i = lo; i < hi; ++i) {
-    std::fill(acc.begin(), acc.begin() + ldc, 0.0f);
-    const float* arow = a + i * lda;
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (onehot_a && av == 0.0f) continue;
-      const int8_t* qrow = q + kk * ldq;
-      for (size_t j = 0; j < ldc; ++j) {
-        acc[j] += av * static_cast<float>(qrow[j]);
-      }
-    }
-    float* crow = c + i * ldc;
-    for (size_t j = 0; j < ldc; ++j) crow[j] += scales[j] * acc[j];
   }
 }
 
@@ -235,113 +206,6 @@ __attribute__((target("avx2,fma"))) void NTRowsAvx2(
   }
 }
 
-__attribute__((target("avx2,fma"))) void NNRowsInt8Avx2(
-    const float* a, size_t lda, const int8_t* q, size_t ldq,
-    const float* scales, float* c, size_t ldc, size_t lo, size_t hi, size_t k,
-    bool onehot_a) {
-  size_t i = lo;
-  if (onehot_a) {
-    // One-hot rows: gather the hot (k, value) pairs once per row, then run
-    // the j-tiled loop over just those entries. Keeping j outermost (the
-    // dense tail below) would rescan every zero of A once per tile, and at
-    // one-hot densities the branch checks dwarf the actual math. The gather
-    // lists are per-thread scratch that only grows, so steady calls do not
-    // allocate.
-    thread_local std::vector<uint32_t> hot;
-    thread_local std::vector<float> hotv;
-    for (; i < hi; ++i) {
-      const float* arow = a + i * lda;
-      hot.clear();
-      hotv.clear();
-      for (size_t kk = 0; kk < k; ++kk) {
-        if (arow[kk] != 0.0f) {
-          hot.push_back(static_cast<uint32_t>(kk));
-          hotv.push_back(arow[kk]);
-        }
-      }
-      float* crow = c + i * ldc;
-      for (size_t j = 0; j < ldc; j += 16) {  // ldc is a multiple of 16
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        for (size_t h = 0; h < hot.size(); ++h) {
-          const __m256 av = _mm256_set1_ps(hotv[h]);
-          const int8_t* qrow = q + hot[h] * ldq + j;
-          const __m128i q0 =
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(qrow));
-          const __m128i q1 =
-              _mm_loadl_epi64(reinterpret_cast<const __m128i*>(qrow + 8));
-          acc0 = _mm256_fmadd_ps(
-              av, _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q0)), acc0);
-          acc1 = _mm256_fmadd_ps(
-              av, _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q1)), acc1);
-        }
-        _mm256_storeu_ps(crow + j,
-                         _mm256_fmadd_ps(_mm256_loadu_ps(scales + j), acc0,
-                                         _mm256_loadu_ps(crow + j)));
-        _mm256_storeu_ps(crow + j + 8,
-                         _mm256_fmadd_ps(_mm256_loadu_ps(scales + j + 8),
-                                         acc1,
-                                         _mm256_loadu_ps(crow + j + 8)));
-      }
-    }
-    return;
-  }
-  {
-    // Dense: 4 rows share each int8 load + convert.
-    for (; i + 4 <= hi; i += 4) {
-      const float* a0 = a + (i + 0) * lda;
-      const float* a1 = a + (i + 1) * lda;
-      const float* a2 = a + (i + 2) * lda;
-      const float* a3 = a + (i + 3) * lda;
-      for (size_t j = 0; j < ldc; j += 8) {
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        __m256 acc2 = _mm256_setzero_ps();
-        __m256 acc3 = _mm256_setzero_ps();
-        for (size_t kk = 0; kk < k; ++kk) {
-          const __m128i q8 = _mm_loadl_epi64(
-              reinterpret_cast<const __m128i*>(q + kk * ldq + j));
-          const __m256 w =
-              _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8));
-          acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[kk]), w, acc0);
-          acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[kk]), w, acc1);
-          acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[kk]), w, acc2);
-          acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[kk]), w, acc3);
-        }
-        const __m256 sc = _mm256_loadu_ps(scales + j);
-        float* c0 = c + (i + 0) * ldc + j;
-        float* c1 = c + (i + 1) * ldc + j;
-        float* c2 = c + (i + 2) * ldc + j;
-        float* c3 = c + (i + 3) * ldc + j;
-        _mm256_storeu_ps(c0, _mm256_fmadd_ps(sc, acc0, _mm256_loadu_ps(c0)));
-        _mm256_storeu_ps(c1, _mm256_fmadd_ps(sc, acc1, _mm256_loadu_ps(c1)));
-        _mm256_storeu_ps(c2, _mm256_fmadd_ps(sc, acc2, _mm256_loadu_ps(c2)));
-        _mm256_storeu_ps(c3, _mm256_fmadd_ps(sc, acc3, _mm256_loadu_ps(c3)));
-      }
-    }
-  }
-  for (; i < hi; ++i) {
-    const float* arow = a + i * lda;
-    float* crow = c + i * ldc;
-    for (size_t j = 0; j < ldc; j += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (size_t kk = 0; kk < k; ++kk) {
-        const float av = arow[kk];
-        if (onehot_a && av == 0.0f) continue;
-        const __m128i q8 = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i*>(q + kk * ldq + j));
-        acc = _mm256_fmadd_ps(
-            _mm256_set1_ps(av),
-            _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(q8)), acc);
-      }
-      _mm256_storeu_ps(
-          crow + j,
-          _mm256_fmadd_ps(_mm256_loadu_ps(scales + j), acc,
-                          _mm256_loadu_ps(crow + j)));
-    }
-  }
-}
-
 #endif  // NARU_HAVE_X86
 
 // ---------------------------------------------------------------------------
@@ -434,24 +298,6 @@ void NTRowsSimd(const float* a, size_t lda, const float* b, size_t ldb,
 #endif
     default:
       NTRowsPortable(a, lda, b, ldb, c, ldc, lo, hi, kpad, n);
-      return;
-  }
-}
-
-void NNRowsInt8(const float* a, size_t lda, const int8_t* q, size_t ldq,
-                const float* scales, float* c, size_t ldc, size_t lo,
-                size_t hi, size_t k, bool onehot_a) {
-  switch (DetectedSimdLevel()) {
-#if defined(NARU_HAVE_X86)
-    case SimdLevel::kAvx2:
-      NNRowsInt8Avx2(a, lda, q, ldq, scales, c, ldc, lo, hi, k, onehot_a);
-      return;
-#endif
-    default:
-      // NEON falls through to the portable int8 path; only the fp32 NEON
-      // kernels are specialized today.
-      NNRowsInt8Portable(a, lda, q, ldq, scales, c, ldc, lo, hi, k,
-                         onehot_a);
       return;
   }
 }

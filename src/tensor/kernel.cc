@@ -33,8 +33,6 @@ const char* KernelKindName(KernelKind k) {
       return "scalar";
     case KernelKind::kSimd:
       return "simd";
-    case KernelKind::kSimdInt8:
-      return "simd_int8";
   }
   return "unknown";
 }
@@ -47,8 +45,6 @@ bool ParseKernelKind(const std::string& s, KernelKind* out) {
     *out = KernelKind::kScalar;
   } else if (lower == "simd") {
     *out = KernelKind::kSimd;
-  } else if (lower == "simd_int8" || lower == "int8") {
-    *out = KernelKind::kSimdInt8;
   } else {
     return false;
   }

@@ -1,6 +1,6 @@
 // Kernel selection and runtime CPU dispatch for the tensor layer.
 //
-// The inference path can run on one of three kernel families:
+// The inference path can run on one of two kernel families:
 //   kScalar   — the register-tiled kernel in gemm.cc; always available, the
 //               correctness reference, and the default (the golden table
 //               pins it). Bit contract: each C element is one chain of
@@ -13,10 +13,6 @@
 //   kSimd     — cache-blocked fp32 kernels with explicit SIMD inner loops
 //               (AVX2/FMA on x86, NEON on ARM, portable blocked fallback
 //               elsewhere), selected at runtime via DetectedSimdLevel().
-//   kSimdInt8 — kSimd plus per-output-channel int8 weights on Linear /
-//               MaskedLinear forward passes (fp32 activations and
-//               accumulation); layers without prepared int8 weights fall
-//               back to the fp32 SIMD path.
 //
 // Determinism contract: for a FIXED kernel choice, every GEMM partitions
 // work by output row and keeps a fixed intra-row reduction order, so
@@ -35,13 +31,12 @@ namespace naru {
 enum class KernelKind : uint8_t {
   kScalar = 0,
   kSimd = 1,
-  kSimdInt8 = 2,
 };
 
-/// "scalar" / "simd" / "simd_int8".
+/// "scalar" / "simd".
 const char* KernelKindName(KernelKind k);
 
-/// Parses "scalar" / "simd" / "simd_int8" (case-insensitive). Returns false
+/// Parses "scalar" / "simd" (case-insensitive). Returns false
 /// and leaves *out untouched on anything else.
 bool ParseKernelKind(const std::string& s, KernelKind* out);
 

@@ -29,8 +29,8 @@
 namespace naru {
 
 /// Minimal std::allocator replacement with a fixed over-alignment, used so
-/// Matrix (and the int8 weight buffers in quant.h) can keep std::vector
-/// value semantics while guaranteeing 64-byte base alignment.
+/// Matrix can keep std::vector value semantics while guaranteeing 64-byte
+/// base alignment.
 template <typename T, size_t kAlign>
 class AlignedAllocator {
  public:

@@ -1,4 +1,4 @@
-// Conformance suite for the kernel layer (gemm_simd.cc, quant.cc):
+// Conformance suite for the kernel layer (gemm.cc, gemm_simd.cc):
 //   - SIMD (native dispatch AND the forced portable fallback) vs the scalar
 //     reference across odd shapes, accumulate on/off, and both transpose
 //     variants, within a tight epsilon (FMA contraction means cross-kernel
@@ -8,9 +8,6 @@
 //     full-batch rows exactly, including across the MR=4/MR=1 seam.
 //   - The one-hot InputHint is exact: hinted and dense runs are bitwise
 //     identical per kernel.
-//   - Int8: quantize→dequantize round trip within half a step, masked zeros
-//     stay exactly zero, and GemmNNInt8 matches the scalar GEMM over the
-//     dequantized weights within epsilon.
 //   - The scalar kernel's bit contract: the register-tiled GemmNN/GemmNT
 //     reproduce the plain ikj and dot-product loops bit for bit, at both
 //     tile widths (128- and 256-bit vectors), across every tile seam, on
@@ -20,6 +17,7 @@
 //     zero-padding invariant, and the Resize preservation contract.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -31,7 +29,6 @@
 #include "tensor/gemm.h"
 #include "tensor/kernel.h"
 #include "tensor/matrix.h"
-#include "tensor/quant.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -447,86 +444,31 @@ TEST(GemmScalar, WideTileMatchesNarrowTile) {
   });
 }
 
-TEST(Quantize, RoundTripWithinHalfStep) {
-  Rng rng(23);
-  Matrix w = RandomMatrix(47, 29, &rng);
-  // A masked column and a masked block, as MADE weights have.
-  for (size_t i = 0; i < w.rows(); ++i) w.At(i, 3) = 0.0f;
-  for (size_t i = 0; i < 10; ++i) {
-    for (size_t j = 20; j < 29; ++j) w.At(i, j) = 0.0f;
-  }
-  QuantizedWeights q;
-  QuantizeWeightsPerColumn(w, &q);
-  EXPECT_EQ(q.rows, w.rows());
-  EXPECT_EQ(q.cols, w.cols());
-  EXPECT_EQ(q.stride, PaddedStride(w.cols()));
-  EXPECT_EQ(q.scales[3], 0.0f);  // all-zero column
-
-  Matrix dq;
-  DequantizeWeights(q, &dq);
-  for (size_t i = 0; i < w.rows(); ++i) {
-    for (size_t j = 0; j < w.cols(); ++j) {
-      const float scale = q.scales[j];
-      // Symmetric round-to-nearest: at most half a quantization step off
-      // (plus fp slack).
-      EXPECT_NEAR(w.At(i, j), dq.At(i, j), 0.5f * scale + 1e-6f)
-          << "at (" << i << ", " << j << ")";
-      // Exact zeros stay exact (masking invariant).
-      if (w.At(i, j) == 0.0f) EXPECT_EQ(dq.At(i, j), 0.0f);
+TEST(KernelKindNames, EveryKindRoundTripsAndRetiredNamesAreRejected) {
+  // Every value of the enum's underlying type that has a name parses back
+  // to itself, case-insensitively; exactly scalar and simd are named.
+  std::vector<std::string> named;
+  for (int v = 0; v <= 255; ++v) {
+    const KernelKind kind = static_cast<KernelKind>(v);
+    const std::string name = KernelKindName(kind);
+    if (name == "unknown") continue;
+    named.push_back(name);
+    std::string upper = name;
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    for (const std::string& spelling : {name, upper}) {
+      KernelKind parsed = kind == KernelKind::kScalar ? KernelKind::kSimd
+                                                      : KernelKind::kScalar;
+      ASSERT_TRUE(ParseKernelKind(spelling, &parsed)) << spelling;
+      EXPECT_EQ(parsed, kind) << spelling;
     }
   }
-}
-
-void CheckInt8MatchesDequantReference() {
-  Rng rng(29);
-  for (const Shape& s : kShapes) {
-    const Matrix a = RandomMatrix(s.m, s.k, &rng);
-    const Matrix w = RandomMatrix(s.k, s.n, &rng);
-    QuantizedWeights q;
-    QuantizeWeightsPerColumn(w, &q);
-    Matrix dq;
-    DequantizeWeights(q, &dq);
-    Matrix ref;
-    GemmNN(a, dq, &ref, false, KernelKind::kScalar);
-    Matrix got;
-    GemmNNInt8(a, q, &got);
-    // Same math, different association (scale distributed vs applied
-    // last): epsilon-bounded, scaled to the reduction length.
-    const double tol = 1e-4 * std::sqrt(static_cast<double>(s.k)) + 1e-5;
-    ExpectNear(ref, got, tol);
-  }
-}
-
-TEST(GemmInt8, MatchesDequantizedScalarReference) {
-  CheckInt8MatchesDequantReference();
-}
-
-TEST(GemmInt8, PortableFallbackMatchesReference) {
-  ScopedSimdLevel force(SimdLevel::kNone);
-  CheckInt8MatchesDequantReference();
-}
-
-TEST(GemmInt8, RowPartitionsDeterministic) {
-  Rng rng(31);
-  const size_t m = 19, k = 45, n = 26;
-  const Matrix a = RandomMatrix(m, k, &rng);
-  const Matrix w = RandomMatrix(k, n, &rng);
-  QuantizedWeights q;
-  QuantizeWeightsPerColumn(w, &q);
-  Matrix full;
-  GemmNNInt8(a, q, &full);
-  for (const size_t sub : {1ul, 5ul, 18ul}) {
-    Matrix asub(sub, k);
-    for (size_t i = 0; i < sub; ++i) {
-      std::memcpy(asub.Row(i), a.Row(i), k * sizeof(float));
-    }
-    Matrix csub;
-    GemmNNInt8(asub, q, &csub);
-    for (size_t i = 0; i < sub; ++i) {
-      ASSERT_EQ(0,
-                std::memcmp(full.Row(i), csub.Row(i), n * sizeof(float)))
-          << "sub " << sub << " row " << i;
-    }
+  EXPECT_EQ(named, (std::vector<std::string>{"scalar", "simd"}));
+  // The deleted int8 family's names, in any case (the parser lowercases
+  // first), and anything else are rejected and leave *out alone.
+  for (const char* rejected : {"SIMD_INT8", "Simd_Int8", "int8", "auto", ""}) {
+    KernelKind out = KernelKind::kSimd;
+    EXPECT_FALSE(ParseKernelKind(rejected, &out)) << rejected;
+    EXPECT_EQ(out, KernelKind::kSimd) << rejected;
   }
 }
 

@@ -17,9 +17,9 @@
 //   - kernel: scalar rows carry dispatch "-" and must always be present;
 //     they are computed twice, at the host's scalar tile width and pinned
 //     to the 128-bit tile, and both passes must match them;
-//     simd / simd_int8 rows carry SimdDispatchString() and are checked only
-//     on a host that dispatches the same way (skipped with the reason
-//     printed otherwise).
+//     simd rows carry SimdDispatchString() and are checked only on a host
+//     that dispatches the same way (skipped with the reason printed
+//     otherwise).
 //
 // Refreshing: a missing or mismatched row is printed as a ready-to-paste
 // `GOLDEN` line. Run `./test_golden | grep '^GOLDEN' | cut -f2-` and
@@ -251,7 +251,7 @@ TEST(GoldenEstimates, BitIdenticalToCheckedInTable) {
   }
   if (!simd_rows_present) {
     std::printf(
-        "[ SKIPPED  ] simd / simd_int8 golden rows: none recorded for '%s' "
+        "[ SKIPPED  ] simd golden rows: none recorded for '%s' "
         "(scalar rows are still checked)\n",
         dispatch.c_str());
   }
@@ -260,8 +260,7 @@ TEST(GoldenEstimates, BitIdenticalToCheckedInTable) {
   for (const std::string name :
        {"made", "resmade", "ordered", "factorized", "transformer"}) {
     std::unique_ptr<ConditionalModel> model = BuildTrained(name, table);
-    for (const KernelKind kernel :
-         {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+    for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
       // Unrecorded dispatch levels still print their rows (as GOLDEN
       // lines) so a table for a new host can be recorded from this run.
       const bool enforced = kernel == KernelKind::kScalar || simd_rows_present;

@@ -546,8 +546,7 @@ TEST(MadeSession, BitIdenticalToStatelessAcrossKernelsAndShapes) {
     for (const bool portable : {false, true}) {
       std::unique_ptr<ScopedSimdLevel> force;
       if (portable) force = std::make_unique<ScopedSimdLevel>(SimdLevel::kNone);
-      for (const KernelKind kernel :
-           {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+      for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
         if (portable && kernel == KernelKind::kScalar) continue;
         model.SetInferenceKernel(kernel);
         ExpectMadeSessionMatches(
@@ -564,8 +563,7 @@ TEST(MadeSession, LinearMadeBitIdenticalToStateless) {
   cfg.encoder.onehot_threshold = 8;
   cfg.encoder.embed_dim = 16;
   MadeModel model(kSessionDomains, cfg);
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
     model.SetInferenceKernel(kernel);
     ExpectMadeSessionMatches(&model,
                              std::string("linear ") + KernelKindName(kernel));
@@ -573,8 +571,7 @@ TEST(MadeSession, LinearMadeBitIdenticalToStateless) {
 }
 
 TEST(MadeSession, TrainedWeightsBitIdenticalToStateless) {
-  // Trained weights (and int8 panels requantized after training) must not
-  // leave the session reading stale panels.
+  // Trained weights must not leave the session reading stale panels.
   const Table table = MakeRandomTable(400, kSessionDomains, 9, /*skew=*/1.0);
   MadeModel::Config cfg;
   cfg.hidden_sizes = {32, 32};
@@ -582,13 +579,12 @@ TEST(MadeSession, TrainedWeightsBitIdenticalToStateless) {
   cfg.encoder.embed_dim = 16;
   cfg.residual = true;
   MadeModel model(kSessionDomains, cfg);
-  model.SetInferenceKernel(KernelKind::kSimdInt8);
+  model.SetInferenceKernel(KernelKind::kSimd);
   TrainerConfig tcfg;
   tcfg.epochs = 1;
   tcfg.batch_size = 64;
   Trainer(&model, tcfg).Train(table);
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
     model.SetInferenceKernel(kernel);
     ExpectMadeSessionMatches(&model,
                              std::string("trained ") + KernelKindName(kernel));
@@ -665,8 +661,7 @@ TEST(MadeSession, WrappersBitIdenticalToStateless) {
   for (ConditionalModel* model :
        std::vector<ConditionalModel*>{&ordered, &factorized}) {
     const std::string label = model == &ordered ? "ordered" : "factorized";
-    for (const KernelKind kernel :
-         {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+    for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
       model->SetInferenceKernel(kernel);
       for (const size_t rows : {size_t{1}, size_t{5}, size_t{128}}) {
         for (const bool relayout : {false, true}) {

@@ -174,12 +174,9 @@ TEST(SamplingPlan, AutoGroupWidthScalesWithKernelAndModelWidth) {
   EXPECT_EQ(AutoGroupWidth(0, KernelKind::kSimd, 128), 32u);
   EXPECT_GT(AutoGroupWidth(128, KernelKind::kSimd, 128),
             AutoGroupWidth(128, KernelKind::kScalar, 128));
-  EXPECT_GE(AutoGroupWidth(64, KernelKind::kSimdInt8, 128),
-            AutoGroupWidth(64, KernelKind::kSimd, 128));
   EXPECT_LE(AutoGroupWidth(1024, KernelKind::kSimd, 128),
             AutoGroupWidth(128, KernelKind::kSimd, 128));
-  for (const KernelKind k :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  for (const KernelKind k : {KernelKind::kScalar, KernelKind::kSimd}) {
     for (const size_t hint : {size_t{0}, size_t{24}, size_t{256},
                               size_t{4096}}) {
       const size_t w = AutoGroupWidth(hint, k, 128);
@@ -330,8 +327,7 @@ TEST(PlanExecutor, BitIdenticalToReferenceWalkAcrossKernels) {
   std::vector<const Query*> ptrs;
   for (const auto& q : queries) ptrs.push_back(&q);
 
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
     model->SetInferenceKernel(kernel);
 
     std::vector<double> want;
@@ -434,8 +430,7 @@ TEST(PlanExecutor, RetireAndForkAtSameRowCountMatchesReferenceWalk) {
   ASSERT_EQ(retiring, 1u);
   ASSERT_EQ(forking, 1u);
 
-  for (const KernelKind kernel :
-       {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8}) {
+  for (const KernelKind kernel : {KernelKind::kScalar, KernelKind::kSimd}) {
     model->SetInferenceKernel(kernel);
     std::vector<double> want, want_se;
     for (const auto& q : queries) {

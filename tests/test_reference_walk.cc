@@ -151,7 +151,7 @@ std::vector<KernelKind> KernelsOf(const std::string& family) {
   if (family == "oracle" || family == "percolumn" || family == "bayesnet") {
     return {KernelKind::kScalar};
   }
-  return {KernelKind::kScalar, KernelKind::kSimd, KernelKind::kSimdInt8};
+  return {KernelKind::kScalar, KernelKind::kSimd};
 }
 
 class ReferenceWalkTest : public ::testing::TestWithParam<std::string> {};
