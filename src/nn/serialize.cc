@@ -58,6 +58,8 @@ Status LoadParameters(const std::string& path,
   if (!is.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument("bad magic in parameter file: " + path);
   }
+  // Parameters not read yet; each file entry takes its own out, so a
+  // repeated or unknown name finds nothing and what is left was missing.
   std::unordered_map<std::string, Parameter*> by_name;
   for (auto* p : params) by_name[p->name] = p;
 
@@ -81,9 +83,11 @@ Status LoadParameters(const std::string& path,
     }
     auto it = by_name.find(name);
     if (it == by_name.end()) {
-      return Status::InvalidArgument("unknown parameter in file: " + name);
+      return Status::InvalidArgument("unknown or repeated parameter in file: " +
+                                     name);
     }
     Parameter* p = it->second;
+    by_name.erase(it);
     if (p->value.rows() != rows || p->value.cols() != cols) {
       return Status::InvalidArgument(StrFormat(
           "shape mismatch for %s: file %llux%llu vs model %zux%zu",
@@ -96,6 +100,12 @@ Status LoadParameters(const std::string& path,
               static_cast<std::streamsize>(p->value.cols() * sizeof(float)));
     }
     if (!is.good()) return Status::IOError("truncated tensor data");
+  }
+  for (const auto* p : params) {
+    if (by_name.count(p->name) != 0) {
+      return Status::InvalidArgument(StrFormat(
+          "parameter %s missing from %s", p->name.c_str(), path.c_str()));
+    }
   }
   return Status::OK();
 }

@@ -19,8 +19,8 @@ Status SaveParameters(const std::string& path,
                       const std::vector<Parameter*>& params);
 
 /// Reads parameter values from `path` into the matching (by name) entries
-/// of `params`. Fails if any file entry is missing from `params` or any
-/// shape differs.
+/// of `params`. Fails (InvalidArgument) unless the file holds every entry
+/// of `params` exactly once, with its shape, and nothing else.
 Status LoadParameters(const std::string& path,
                       const std::vector<Parameter*>& params);
 

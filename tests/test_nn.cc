@@ -226,5 +226,38 @@ TEST(Serialize, ShapeMismatchFails) {
   std::remove(path.c_str());
 }
 
+TEST(Serialize, EmptyFileIsInvalidArgument) {
+  // A well-formed file with no entries must not leave the model serving
+  // its random initial weights.
+  Rng rng(8);
+  Mlp a("net", {3, 5, 2}, &rng);
+  const std::string path = testing::TempDir() + "/naru_params_empty.bin";
+  ASSERT_TRUE(SaveParameters(path, {}).ok());
+  std::vector<Parameter*> pa;
+  a.CollectParameters(&pa);
+  const Status st = LoadParameters(path, pa);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, RepeatedNameIsInvalidArgument) {
+  // As many entries as the model has parameters, but the first one twice
+  // and the second not at all.
+  Rng rng(9);
+  Mlp a("net", {3, 5, 2}, &rng);
+  std::vector<Parameter*> pa;
+  a.CollectParameters(&pa);
+  ASSERT_GE(pa.size(), 2u);
+  std::vector<Parameter*> repeated = pa;
+  repeated[1] = pa[0];
+  const std::string path = testing::TempDir() + "/naru_params_repeated.bin";
+  ASSERT_TRUE(SaveParameters(path, repeated).ok());
+  const Status st = LoadParameters(path, pa);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find(pa[0]->name), std::string::npos)
+      << st.ToString();
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace naru
