@@ -1,5 +1,7 @@
 #include "core/bundle.h"
 
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -9,7 +11,46 @@ namespace naru {
 
 namespace {
 constexpr char kMagicLine[] = "naru-bundle-v1";
+
+// *total += a * b; false once the result no longer fits in 64 bits.
+bool AddProduct(uint64_t a, uint64_t b, uint64_t* total) {
+  uint64_t product = 0;
+  return !__builtin_mul_overflow(a, b, &product) &&
+         !__builtin_add_overflow(*total, product, total);
 }
+
+// A lower bound on the parameter bytes of MadeModel(domains, cfg), from
+// the layer shapes in made.cc and encoding.cc: embedding tables, every
+// hidden layer and every head, weights and biases. Only a binary-encoded
+// column's input width is undercounted (as 1). False on overflow.
+bool MinParameterBytes(const std::vector<size_t>& domains,
+                       const MadeModel::Config& cfg, uint64_t* bytes) {
+  const EncoderConfig& enc = cfg.encoder;
+  const auto embedded = [&](size_t d) {
+    return d > enc.onehot_threshold && !enc.binary_for_large;
+  };
+  uint64_t floats = 0;
+  uint64_t width = 0;  // the encoded input width
+  bool ok = true;
+  for (size_t d : domains) {
+    const uint64_t w =
+        d <= enc.onehot_threshold ? d : embedded(d) ? enc.embed_dim : 1;
+    ok = ok && AddProduct(w, 1, &width);
+    if (embedded(d)) ok = ok && AddProduct(d, enc.embed_dim, &floats);
+  }
+  for (size_t h : cfg.hidden_sizes) {
+    ok = ok && AddProduct(width, h, &floats) && AddProduct(h, 1, &floats);
+    width = h;
+  }
+  for (size_t d : domains) {
+    const uint64_t out =
+        cfg.embedding_reuse && embedded(d) ? enc.embed_dim : d;
+    ok = ok && AddProduct(width, out, &floats) && AddProduct(out, 1, &floats);
+  }
+  *bytes = 0;
+  return ok && AddProduct(floats, sizeof(float), bytes);
+}
+}  // namespace
 
 Status SaveModelBundle(const std::string& path, MadeModel* model) {
   std::ofstream os(path);
@@ -110,8 +151,21 @@ Result<std::unique_ptr<MadeModel>> LoadModelBundle(const std::string& path) {
           StrFormat("bundle %s: a hidden layer has 0 units", path.c_str()));
     }
   }
+  // The model allocates what the manifest asks for, so the manifest may
+  // ask for no more than the weights file can fill.
+  const std::string weights = path + ".weights";
+  std::error_code ec;
+  const uintmax_t weights_bytes = std::filesystem::file_size(weights, ec);
+  if (ec) return Status::IOError("cannot open: " + weights);
+  uint64_t need = 0;
+  if (!MinParameterBytes(domains, cfg, &need) || need > weights_bytes) {
+    return Status::InvalidArgument(StrFormat(
+        "bundle %s: its sizes need more parameter bytes than the %llu of %s",
+        path.c_str(), static_cast<unsigned long long>(weights_bytes),
+        weights.c_str()));
+  }
   auto model = std::make_unique<MadeModel>(domains, cfg);
-  NARU_RETURN_NOT_OK(model->Load(path + ".weights"));
+  NARU_RETURN_NOT_OK(model->Load(weights));
   return model;
 }
 

@@ -100,8 +100,9 @@ TEST(Bundle, ZeroSizesAreInvalidArgument) {
 }
 
 TEST(Bundle, OversizedParameterNameIsIOError) {
-  // A weights file whose first parameter claims a 1 MiB name in a 100-byte
-  // file: the loader must refuse before allocating for the claim.
+  // A weights file whose first parameter claims a 1 MiB name in a 4 KiB
+  // file (enough bytes for the manifest's model, so the manifest bound
+  // passes): the loader must refuse before allocating for the claim.
   const std::string path = testing::TempDir() + "/naru_long_name_bundle";
   FILE* f = fopen(path.c_str(), "w");
   fputs("naru-bundle-v1\ncolumns 2\ndomains 4 5\nhidden 8\n", f);
@@ -111,7 +112,7 @@ TEST(Bundle, OversizedParameterNameIsIOError) {
   const uint32_t name_len = 1u << 20;
   weights.append(reinterpret_cast<const char*>(&count), sizeof(count));
   weights.append(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
-  weights.resize(100, 'x');
+  weights.resize(4096, 'x');
   f = fopen((path + ".weights").c_str(), "wb");
   fwrite(weights.data(), 1, weights.size(), f);
   fclose(f);
@@ -122,6 +123,38 @@ TEST(Bundle, OversizedParameterNameIsIOError) {
   EXPECT_NE(loaded.status().message().find("parameter name length"),
             std::string::npos)
       << loaded.status().ToString();
+  std::remove(path.c_str());
+  std::remove((path + ".weights").c_str());
+}
+
+TEST(Bundle, ManifestLargerThanWeightsIsInvalidArgument) {
+  // Sizes that ask for far more parameter bytes than the 4 KiB weights file
+  // holds (the second and third overflow 64 bits) are refused before the
+  // model is built: building it would ask for exabytes and throw.
+  const std::string path = testing::TempDir() + "/naru_oversized_bundle";
+  FILE* f = fopen((path + ".weights").c_str(), "wb");
+  const std::string weights(4096, 'x');
+  fwrite(weights.data(), 1, weights.size(), f);
+  fclose(f);
+  for (const char* manifest :
+       {"naru-bundle-v1\ncolumns 2\ndomains 4 5\n"
+        "hidden 2000000000 2000000000\n",
+        "naru-bundle-v1\ncolumns 2\ndomains 4 5\n"
+        "hidden 8000000000 8000000000\n",
+        "naru-bundle-v1\ncolumns 2\ndomains 4 5000000000000\nhidden 8\n"
+        "embed_dim 5000000000000\n",
+        // Small enough not to overflow, still more than the file holds.
+        "naru-bundle-v1\ncolumns 2\ndomains 4 5\nhidden 32 32\n"}) {
+    f = fopen(path.c_str(), "w");
+    fputs(manifest, f);
+    fclose(f);
+    const auto loaded = LoadModelBundle(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << manifest << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("parameter bytes"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
   std::remove(path.c_str());
   std::remove((path + ".weights").c_str());
 }
