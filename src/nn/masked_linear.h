@@ -41,9 +41,9 @@ class MaskedLinear {
   /// Forward restricted to the output units `cols`: y (batch x
   /// cols.size()) holds columns cols[0], cols[1], ... of Forward(x). The
   /// panel is gathered from the current weights on each call, so it cannot
-  /// go stale after training. Every
-  /// GEMM kernel reduces each output element over ascending k on its own,
-  /// so the results are bit-identical to the matching columns of Forward.
+  /// go stale after training. Every GEMM kernel reduces each output element
+  /// over ascending k on its own, so the results are bit-identical to the
+  /// matching columns of Forward.
   void ForwardColumns(const Matrix& x, const std::vector<size_t>& cols,
                       Matrix* y, ColumnPanel* panel,
                       KernelKind kernel = KernelKind::kScalar,

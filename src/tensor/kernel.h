@@ -36,8 +36,8 @@ enum class KernelKind : uint8_t {
 /// "scalar" / "simd".
 const char* KernelKindName(KernelKind k);
 
-/// Parses "scalar" / "simd" (case-insensitive). Returns false
-/// and leaves *out untouched on anything else.
+/// Parses "scalar" / "simd" (case-insensitive). Returns false and leaves
+/// *out untouched on anything else.
 bool ParseKernelKind(const std::string& s, KernelKind* out);
 
 /// Instruction set the SIMD kernels dispatch to on this machine.
