@@ -79,7 +79,7 @@ double MicroBatchMs(NaruEstimator* est, const std::vector<Query>& pool,
   NARU_CHECK(!sampled.empty());
   InferenceEngineConfig ecfg;
   ecfg.num_threads = threads;
-  ecfg.enable_cache = false;
+  ecfg.cache_budget_bytes = 0;
   InferenceEngine engine(ecfg);
   std::vector<double> ms;
   std::vector<EstimateRequest> batch;
@@ -251,7 +251,7 @@ int Run() {
       ok = false;
     }
 
-    const EngineStats stats = engine.stats();
+    const EngineStats stats = engine.engine()->stats();
     const auto astats = engine.async_stats();
     if (astats.submitted != astats.completed) {
       std::printf("!! %s: submitted %zu != completed %zu\n", sc.name.c_str(),
@@ -284,7 +284,7 @@ int Run() {
           ok = false;
         }
       }
-      if (sc.arrival == ArrivalKind::kBursty && stats.shed_admission == 0) {
+      if (sc.arrival == ArrivalKind::kBursty && astats.shed_admission == 0) {
         std::printf("!! %s: expected admission sheds, saw none\n",
                     sc.name.c_str());
         ok = false;
@@ -296,7 +296,7 @@ int Run() {
       }
     }
     total_shed_deadline += stats.shed_deadline;
-    total_shed_admission += stats.shed_admission;
+    total_shed_admission += astats.shed_admission;
     total_shed_midwalk += stats.shed_midwalk;
     total_priority_flushes += astats.priority_flushes;
 
@@ -306,7 +306,7 @@ int Run() {
                 sc.name.c_str(), achieved, latency_ms.Quantile(0.5),
                 latency_ms.Quantile(0.99), qerr.Quantile(0.5),
                 qerr.Quantile(0.95), stats.shed_deadline,
-                stats.shed_admission, stats.shed_midwalk,
+                astats.shed_admission, stats.shed_midwalk,
                 astats.priority_flushes);
     json.AddRow(JsonObject{{"scenario", sc.name},
                            {"qps", achieved},
@@ -319,7 +319,7 @@ int Run() {
                            {"served", served},
                            {"shed", shed},
                            {"shed_deadline", stats.shed_deadline},
-                           {"shed_admission", stats.shed_admission},
+                           {"shed_admission", astats.shed_admission},
                            {"shed_midwalk", stats.shed_midwalk},
                            {"priority_flushes", astats.priority_flushes}});
   }

@@ -286,7 +286,7 @@ int Run() {
         all_identical = false;
       }
     }
-    const EngineStats stats = engine.stats();
+    const EngineStats stats = engine.engine()->stats();
     const auto astats = engine.async_stats();
     std::printf(
         "\nmixed-priority trace: %zu requests, %zu expired deadlines -> "
@@ -336,7 +336,7 @@ int Run() {
     acfg.max_wait_ms = 0.0;
     acfg.max_pending = max_pending;
     acfg.engine.num_threads = threads;
-    acfg.engine.enable_cache = false;  // a real walk per request: overload
+    acfg.engine.cache_budget_bytes = 0;  // a real walk per request: overload
     AsyncEngine engine(acfg);
 
     // Mostly lows, with FEWER than max_pending highs spread through the
@@ -383,13 +383,12 @@ int Run() {
       }
     }
     const auto astats = engine.async_stats();
-    const EngineStats stats = engine.stats();
     std::printf(
         "\nsaturation trace: %zu requests vs max_pending=%zu -> %zu served, "
-        "%zu low / %zu high admission-shed (engine counted %zu), peak "
+        "%zu low / %zu high admission-shed (dispatcher counted %zu), peak "
         "pending %zu\n",
         trace.size(), max_pending, served, shed_low, shed_high,
-        stats.shed_admission, astats.max_pending_seen);
+        astats.shed_admission, astats.max_pending_seen);
     // Bounded depth, low-first shedding, and conservation: every request
     // either served or shed, and the counters agree.
     if (astats.max_pending_seen > max_pending) saturation_ok = false;
@@ -397,7 +396,7 @@ int Run() {
     if (trace.size() >= 4 * max_pending && shed_low == 0) {
       saturation_ok = false;  // a real burst must have overflowed
     }
-    if (stats.shed_admission != shed_low + shed_high) saturation_ok = false;
+    if (astats.shed_admission != shed_low + shed_high) saturation_ok = false;
     if (astats.submitted != astats.completed) saturation_ok = false;
     if (!retry_hints_ok) saturation_ok = false;
     std::printf(
@@ -406,7 +405,7 @@ int Run() {
         saturation_ok ? "yes" : "NO (BUG)", retry_hints_ok ? "yes" : "NO",
         max_retry_hint_ms);
     json.AddRow(JsonObject{{"mode", "saturation"},
-                           {"shed_admission", stats.shed_admission},
+                           {"shed_admission", astats.shed_admission},
                            {"served", served},
                            {"peak_pending", astats.max_pending_seen}});
   }

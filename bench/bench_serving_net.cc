@@ -241,7 +241,7 @@ int Run() {
     alpha_opts.engine.max_wait_ms = 0.0;
     alpha_opts.engine.max_pending = max_pending;
     alpha_opts.engine.engine.num_threads = threads;
-    alpha_opts.engine.engine.enable_cache = false;
+    alpha_opts.engine.engine.cache_budget_bytes = 0;
     std::vector<size_t> domains;
     for (size_t c = 0; c < alpha_table.num_columns(); ++c) {
       domains.push_back(alpha_table.column(c).DomainSize());

@@ -100,10 +100,7 @@ int Run() {
   // Template pool (no ground truth needed for throughput): mixed filter
   // widths, including single-filter queries — when the filter lands on the
   // first model column those take the exact leading-only shortcut and
-  // never sample. (The marginal-mass cache itself only gets hits across
-  // differently-configured estimators sharing a model; with one estimator
-  // the full-query memo always answers first, so the marginal column
-  // below prints 0.) Half the pool shares a leading-wildcard run of
+  // never sample. Half the pool shares a leading-wildcard run of
   // `prefix_wildcards` columns — the batch shape the plan layer shares.
   WorkloadConfig wcfg;
   wcfg.num_queries = num_unique;

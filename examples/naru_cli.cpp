@@ -14,20 +14,17 @@
 //       Exact answer by scanning (for comparison).
 //
 //   naru_cli serve <data.csv> <model.bundle> <queries.txt|-> [threads]
-//       Serves conjunctions (one per line; `-` reads stdin) through the
-//       serving engine and prints one result line per query.
-//
-//       Default mode reads the whole input and answers it as one blocking
-//       EstimateBatch. With --async the CLI becomes a real accept loop:
+//       An accept loop over conjunctions (one per line; `-` reads stdin):
 //       every line is Submit()ed to the streaming AsyncEngine the moment
-//       it is read, micro-batching happens in the background, and results
-//       stream out in submission order as they complete.
+//       it is read, micro-batching happens in the background, and one
+//       result line per query streams out in submission order as results
+//       complete.
 //
 //       Requests flow through the typed serving API (serve/request.h): a
 //       line may carry, before the predicates, any of
 //         @<ms>    arrival timestamp (milliseconds since serve start);
-//                  --async replays recorded arrival times faithfully and
-//                  reports per-query latency percentiles
+//                  recorded arrival times are replayed faithfully and
+//                  per-query latency percentiles reported
 //         ^high | ^low | ^normal
 //                  priority class: the async dispatcher flushes pending
 //                  work highest class first instead of pure FIFO
@@ -38,10 +35,11 @@
 //       requests print `NA  NA  <query>  # <status>` so the output stays
 //       one line per request.
 //
-//       Both modes print full EngineStats (cache hit/miss/eviction
-//       counters, plan-tree sizes/depth/fanout, prefix-share ratio,
-//       workspace churn) on stderr at exit — including on SIGINT, which
-//       winds the loop down cleanly instead of discarding the counters.
+//       The loop prints FormatEngineStats (dispatcher flushes and sheds,
+//       cache hit/miss/eviction counters, plan-tree sizes/depth/fanout,
+//       prefix-share ratio, workspace churn) on stderr at exit — including
+//       on SIGINT, which winds the loop down cleanly instead of discarding
+//       the counters.
 //
 //   naru_cli serve <data.csv> <model.bundle> --listen host:port [--tenant N]
 //       Network server: registers the model as one tenant in a
@@ -57,7 +55,6 @@
 //       `retry in <N> ms` back-off hint.
 //
 //       Serving knobs (flags map onto NARU_* env vars, see docs/SERVING.md):
-//         --async            stream through AsyncEngine (accept loop)
 //         --max-batch N      async micro-batch flush size   (default 64)
 //         --max-wait-ms X    async micro-batch deadline     (default 2.0)
 //         --max-pending N    admission control: bound the async pending
@@ -100,6 +97,7 @@
 #include "serve/request.h"
 #include "serve/trace_format.h"
 #include "tensor/kernel.h"
+#include "util/deadline.h"
 #include "util/env_config.h"
 #include "util/quantile.h"
 #include "util/string_util.h"
@@ -121,7 +119,7 @@ int Usage() {
                "host:port [--tenant NAME]\n"
                "  naru_cli serve <data.csv> <queries.txt|-> --connect "
                "host:port [--tenant NAME]\n"
-               "    serve flags: --async --max-batch N --max-wait-ms X "
+               "    serve flags: --max-batch N --max-wait-ms X "
                "--max-pending N --cache-budget-mb N\n"
                "    estimate/serve: --kernel scalar|simd "
                "(inference kernel; default scalar)\n"
@@ -156,7 +154,7 @@ std::vector<char*> ExtractPositionals(int argc, char** argv) {
 
 /// Set by SIGINT. `serve` installs the handler WITHOUT SA_RESTART so a
 /// blocking getline on stdin returns early (EINTR fails the stream); both
-/// serve loops then wind down normally and print EngineStats on the way
+/// serve loops then wind down normally and print their stats on the way
 /// out — Ctrl-C on a live accept loop reports the serving counters
 /// instead of discarding them.
 /// Resolves --kernel / NARU_KERNEL (default scalar); exits 2 on an
@@ -186,13 +184,10 @@ void InstallSigintHandler() {
 
 /// Waits until `at_ms` after `trace_start` in short slices so SIGINT is
 /// honored promptly (sleep_until retries on EINTR). Returns false when
-/// interrupted. Shared by the async and --connect replay loops.
+/// interrupted. Shared by the local and --connect replay loops.
 bool ReplayWait(std::chrono::steady_clock::time_point trace_start,
                 double at_ms) {
-  const auto target =
-      trace_start +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double, std::milli>(at_ms));
+  const auto target = DeadlineAfterMs(trace_start, at_ms);
   while (!g_interrupted) {
     const auto now = std::chrono::steady_clock::now();
     if (now >= target) return true;
@@ -522,54 +517,7 @@ int main(int raw_argc, char** raw_argv) {
     }
     std::istream& in = from_stdin ? std::cin : file;
 
-    if (!GetEnvBool("NARU_ASYNC", false)) {
-      // Blocking mode: read the whole input, answer it as one typed
-      // batch. Arrival timestamps are ignored (there is no accept loop to
-      // replay them on); priorities are recorded but moot (one batch, no
-      // queue); `~<ms>` deadlines count from READ time, so a deadline
-      // shorter than the collect+dispatch gap sheds. SIGINT while reading
-      // stops collecting; what was read is served and the stats still
-      // print.
-      std::vector<EstimateRequest> requests;
-      std::vector<std::string> texts;
-      std::string line;
-      std::string preds;
-      size_t lineno = 0;
-      while (!g_interrupted && std::getline(in, line)) {
-        ++lineno;
-        if (line.empty() || line[0] == '#') continue;
-        const TracePrefix prefix = ParseTracePrefix(line, &preds);
-        auto disjuncts = ParseDisjunction(table, preds);
-        if (!disjuncts.ok()) {
-          std::fprintf(stderr, "error: line %zu: %s\n", lineno,
-                       disjuncts.status().ToString().c_str());
-          return 1;
-        }
-        if (disjuncts.ValueOrDie().size() != 1) {
-          std::fprintf(stderr, "error: line %zu must be one conjunction\n",
-                       lineno);
-          return 1;
-        }
-        EstimateRequest req(disjuncts.ValueOrDie()[0]);
-        prefix.ApplyTo(&req.options);
-        texts.push_back(req.query.ToString(table));
-        requests.push_back(std::move(req));
-      }
-      InferenceEngine engine(ecfg);
-      std::vector<EstimateResult> results;
-      engine.EstimateBatch(&est, requests, &results);
-      for (size_t i = 0; i < results.size(); ++i) {
-        std::fputs(FormatResultLine(results[i], num_rows, texts[i]).c_str(),
-                   stdout);
-      }
-      if (g_interrupted) {
-        std::fprintf(stderr, "# interrupted: served what was read\n");
-      }
-      std::fputs(FormatEngineStats(engine.stats()).c_str(), stderr);
-      return 0;
-    }
-
-    // Async accept loop: Submit each line as it arrives (honoring `@<ms>`
+    // Accept loop: Submit each line as it arrives (honoring `@<ms>`
     // replay timestamps), stream results out in submission order, report
     // latency percentiles. Parse errors are reported and skipped — an
     // accept loop must not die on one malformed request.
@@ -637,21 +585,16 @@ int main(int raw_argc, char** raw_argv) {
     engine.Drain();
     print_ready_prefix(/*block=*/true);
 
-    const auto astats = engine.async_stats();
     if (g_interrupted) {
       std::fprintf(stderr, "# interrupted: drained in-flight work\n");
     }
-    std::fprintf(stderr,
-                 "# served %zu queries (%zu rejected, %zu joined in-flight "
-                 "twins, %zu admission-shed, peak pending %zu) in %zu "
-                 "micro-batches (largest %zu; %zu size / %zu deadline / %zu "
-                 "drain flushes, %zu deadline reorders)\n",
-                 astats.completed, rejected, astats.joined_duplicates,
-                 astats.shed_admission, astats.max_pending_seen,
-                 astats.batches, astats.largest_batch, astats.size_flushes,
-                 astats.deadline_flushes, astats.drain_flushes,
-                 astats.deadline_reorders);
-    std::fputs(FormatEngineStats(engine.stats()).c_str(), stderr);
+    std::fputs(FormatEngineStats(engine.engine()->stats(),
+                                 engine.async_stats())
+                   .c_str(),
+               stderr);
+    if (rejected > 0) {
+      std::fprintf(stderr, "# %zu lines rejected by the parser\n", rejected);
+    }
     if (!latency_ms.empty()) {
       std::fprintf(stderr,
                    "# latency ms: p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n",

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "util/deadline.h"
 #include "util/string_util.h"
 
 namespace naru {
@@ -398,10 +399,10 @@ EstimateRequest ToEstimateRequest(const WireEstimateRequest& wire,
   request.options.num_samples = wire.num_samples;
   request.options.priority = wire.priority;
   request.options.cache_policy = wire.cache_policy;
+  // NaN and negative values mean no deadline; so does one too far out
+  // for the clock (DeadlineAfterMs).
   if (wire.deadline_ms >= 0) {
-    request.options.deadline =
-        now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(wire.deadline_ms));
+    request.options.deadline = DeadlineAfterMs(now, wire.deadline_ms);
   }
   return request;
 }

@@ -96,7 +96,7 @@ struct WireEstimateRequest {
   std::vector<ValueSet> regions;
   /// EstimateOptions fields, wire-safe forms (see header comment).
   uint64_t num_samples = 0;
-  double deadline_ms = -1.0;  ///< relative ms; < 0 = no deadline
+  double deadline_ms = -1.0;  ///< relative ms; < 0, NaN or +inf = none
   RequestPriority priority = RequestPriority::kNormal;
   CachePolicy cache_policy = CachePolicy::kReadWrite;
 };
@@ -180,7 +180,10 @@ Status DecodeFrame(std::string_view payload, Frame* out);
 
 /// Builds the server-side EstimateRequest: reconstructs the Query from the
 /// wire regions and pins the relative deadline to `now` (the decode
-/// instant), matching the in-process `~<ms>` semantics.
+/// instant), matching the in-process `~<ms>` semantics. A negative or NaN
+/// deadline, or one too far out for `now` plus it to be represented (+inf
+/// included), is no deadline. num_samples passes through; the engine
+/// rejects budgets above EstimateOptions::kMaxSamples.
 EstimateRequest ToEstimateRequest(const WireEstimateRequest& wire,
                                   std::chrono::steady_clock::time_point now);
 

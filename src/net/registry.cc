@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "serve/inference_engine.h"
 #include "util/string_util.h"
 
 namespace naru {
@@ -141,15 +140,9 @@ std::string ModelRegistry::FormatTenantStats(const std::string& name) const {
       out += StrFormat("no tenant named '%s'\n", tenant_name.c_str());
       continue;
     }
-    const AsyncEngineStats astats = tenant->engine->async_stats();
-    out += StrFormat(
-        "== tenant %s ==\n"
-        "# async: %zu submitted, %zu completed, %zu batches (largest %zu), "
-        "%zu joined twins, %zu admission-shed, peak pending %zu\n",
-        tenant_name.c_str(), astats.submitted, astats.completed,
-        astats.batches, astats.largest_batch, astats.joined_duplicates,
-        astats.shed_admission, astats.max_pending_seen);
-    out += FormatEngineStats(tenant->engine->stats());
+    out += StrFormat("== tenant %s ==\n", tenant_name.c_str());
+    out += FormatEngineStats(tenant->engine->engine()->stats(),
+                             tenant->engine->async_stats());
   }
   return out;
 }

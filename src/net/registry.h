@@ -112,9 +112,9 @@ class ModelRegistry {
   /// the LIST control verb's payload.
   std::string FormatTenantList() const;
 
-  /// Rendered EngineStats (+ dispatcher counters) for one tenant, or for
-  /// every tenant when `name` is empty — the STATS control verb's
-  /// payload. NotFound text when the tenant is unknown.
+  /// FormatEngineStats of one tenant's serving stack, or of every tenant
+  /// when `name` is empty — the STATS control verb's payload. NotFound
+  /// text when the tenant is unknown.
   std::string FormatTenantStats(const std::string& name) const;
 
  private:

@@ -86,7 +86,7 @@ namespace {
 // Per-query, per-model-position walk-step descriptors. Two queries take
 // bit-identical column steps at position `pos` iff their descriptors
 // match: both wildcard (mass 1, draw from the full conditional), or both
-// constrained by a region with identical canonical bytes (RegionKey) —
+// constrained by a region with identical canonical bytes (AppendRegionKey) —
 // MaskProbsToRegion and FallbackCode are functions of that region and of
 // walk state the queries share inside a common segment. Wildcard encodes
 // as "" (a real region key is never empty), so string equality is the

@@ -19,7 +19,7 @@
 //     into two sub-groups sharing 4-6 walks columns 0-3 exactly once;
 //   - sharing is not limited to wildcards: two queries whose leading
 //     columns carry IDENTICAL constrained regions (the same point / range
-//     / IN-list predicate, compared by canonical RegionKey bytes) take
+//     / IN-list predicate, compared by canonical AppendRegionKey bytes) take
 //     bit-identical column steps there — same masked mass folded into the
 //     weights, same truncated draw — so the walk AND its likelihood terms
 //     are shared;

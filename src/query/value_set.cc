@@ -35,9 +35,7 @@ ValueSet ValueSet::Set(size_t domain, std::vector<int32_t> codes) {
   while (!codes.empty() && codes.back() >= static_cast<int64_t>(domain)) {
     codes.pop_back();
   }
-  while (!codes.empty() && codes.front() < 0) {
-    codes.erase(codes.begin());
-  }
+  codes.erase(codes.begin(), std::lower_bound(codes.begin(), codes.end(), 0));
   if (codes.size() == domain) return All(domain);
   ValueSet s;
   s.kind_ = Kind::kSet;

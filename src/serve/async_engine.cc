@@ -316,28 +316,81 @@ void AsyncEngine::Drain() {
 
 AsyncEngineStats AsyncEngine::async_stats() const {
   MutexLock lock(&mu_);
-  return stats_;
-}
-
-EngineStats AsyncEngine::stats() const {
-  EngineStats snapshot = engine_.stats();
-  MutexLock lock(&mu_);
-  snapshot.priority_flushes = stats_.priority_flushes;
-  snapshot.shed_admission = stats_.shed_admission;
-  snapshot.shed_expired_victims = stats_.expired_victims;
-  // Admission-shed callers received a shed result the blocking engine
-  // never saw; fold them into the delivered-results column.
-  snapshot.results_shed += stats_.shed_admission;
-  // Overlay the queue-side percentiles: only the async layer sees queue
-  // time (the blocking engine fills the compute side of class_latency).
+  AsyncEngineStats snapshot = stats_;
   for (size_t c = 0; c < kNumPriorities; ++c) {
-    ClassLatencyStats& cls = snapshot.class_latency[c];
+    ClassQueueStats& cls = snapshot.class_queue[c];
     cls.queued = class_queue_[c].count();
     cls.queue_p50_ms = class_queue_[c].Quantile(0.5);
     cls.queue_p99_ms = class_queue_[c].Quantile(0.99);
     cls.queue_max_ms = class_queue_[c].max_ms();
   }
   return snapshot;
+}
+
+std::string FormatEngineStats(const EngineStats& engine,
+                              const AsyncEngineStats& async) {
+  std::string out;
+  out += StrFormat(
+      "# async: %zu submitted, %zu completed, %zu batches (largest %zu), "
+      "%zu joined twins, %zu admission-shed, peak pending %zu; %zu size / "
+      "%zu deadline / %zu drain flushes, %zu deadline reorders\n",
+      async.submitted, async.completed, async.batches, async.largest_batch,
+      async.joined_duplicates, async.shed_admission, async.max_pending_seen,
+      async.size_flushes, async.deadline_flushes, async.drain_flushes,
+      async.deadline_reorders);
+  out += StrFormat(
+      "# engine: %zu queries (%zu sampled, %zu enumerated, %zu exact "
+      "shortcuts, %zu shed on deadline, %zu abandoned mid-walk, %zu shed "
+      "at admission)\n",
+      engine.queries, engine.sampled, engine.enumerated,
+      engine.exact_shortcuts, engine.shed_deadline, engine.shed_midwalk,
+      async.shed_admission);
+  // An admission-shed caller received a shed result the engine never saw.
+  out += StrFormat(
+      "# results: %zu cache_hit / %zu exact / %zu enumerated / %zu "
+      "planned_group / %zu shed; %zu priority flushes\n",
+      engine.results_cache_hit, engine.results_exact,
+      engine.results_enumerated, engine.results_planned,
+      engine.results_shed + async.shed_admission, async.priority_flushes);
+  out += StrFormat(
+      "# caches: memo %zu hits / %zu misses / %zu evictions (%zu entries, "
+      "%.1f KB)\n",
+      engine.memo_hits, engine.memo_misses, engine.memo_evictions,
+      engine.memo_entries, engine.memo_bytes / 1024.0);
+  out += StrFormat(
+      "# plans: %zu queries in %zu trees over %zu batches, avg tree %.1f, "
+      "prefix-share ratio %.3f (%zu of %zu column walks shared)\n",
+      engine.planned_queries, engine.plan_trees, engine.plan_batches,
+      engine.plan_trees == 0 ? 0.0
+                             : static_cast<double>(engine.planned_queries) /
+                                   static_cast<double>(engine.plan_trees),
+      engine.prefix_share_ratio(), engine.plan_shared_cols,
+      engine.plan_walk_cols);
+  out += StrFormat("# plan trees: max fork depth %zu, max fanout %zu\n",
+                   engine.plan_max_depth, engine.plan_max_fanout);
+  out += StrFormat("# workspaces created: %zu\n", engine.workspaces_created);
+  if (async.expired_victims > 0) {
+    out += StrFormat(
+        "# admission victims already expired when evicted: %zu\n",
+        async.expired_victims);
+  }
+  static const char* kClassNames[3] = {"low", "normal", "high"};
+  for (size_t c = 0; c < engine.class_latency.size(); ++c) {
+    const ClassLatencyStats& compute = engine.class_latency[c];
+    const ClassQueueStats& queue = async.class_queue[c];
+    if (compute.results == 0 && queue.queued == 0) continue;
+    out += StrFormat(
+        "# class %-6s %zu results, compute p50/p99/max %.3f/%.3f/%.3f ms",
+        kClassNames[c], compute.results, compute.compute_p50_ms,
+        compute.compute_p99_ms, compute.compute_max_ms);
+    if (queue.queued > 0) {
+      out += StrFormat(", queue (%zu measured) p50/p99/max %.3f/%.3f/%.3f ms",
+                       queue.queued, queue.queue_p50_ms, queue.queue_p99_ms,
+                       queue.queue_max_ms);
+    }
+    out += "\n";
+  }
+  return out;
 }
 
 void AsyncEngine::DispatcherLoop() {

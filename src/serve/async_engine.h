@@ -86,13 +86,24 @@ struct AsyncEngineConfig {
   /// otherwise the incoming request — itself (tied-)lowest — is rejected
   /// the same way. A higher class is therefore never admission-shed
   /// while a lower class has pending work. Counted in
-  /// EngineStats::shed_admission.
+  /// AsyncEngineStats::shed_admission.
   size_t max_pending = 0;
   /// The wrapped blocking engine (threads, caching, cache budget).
   InferenceEngineConfig engine;
 };
 
-/// Dispatcher counters (cumulative since construction).
+/// Per-priority-class queue-latency percentiles over every delivered
+/// result (admission sheds and joiners included — each waited its own
+/// time), from the same log-bucketed histograms as ClassLatencyStats.
+struct ClassQueueStats {
+  size_t queued = 0;  ///< deliveries with a measured queue time
+  double queue_p50_ms = 0.0;
+  double queue_p99_ms = 0.0;
+  double queue_max_ms = 0.0;
+};
+
+/// Dispatcher counters (cumulative since construction). The wrapped
+/// engine's counters are engine()->stats(); no counter lives in both.
 struct AsyncEngineStats {
   size_t submitted = 0;         ///< requests accepted by Submit
   size_t completed = 0;         ///< requests whose result has been delivered
@@ -105,8 +116,7 @@ struct AsyncEngineStats {
   /// enqueueing their own computation (see Submit).
   size_t joined_duplicates = 0;
   /// Micro-batches cut out of FIFO order because a higher priority class
-  /// jumped the queue (also merged into EngineStats::priority_flushes by
-  /// stats()).
+  /// jumped the queue.
   size_t priority_flushes = 0;
   /// Micro-batches whose within-class cut order was changed by deadlines:
   /// a deadline-carrying request was pulled ahead of an earlier-arrived
@@ -115,21 +125,31 @@ struct AsyncEngineStats {
   size_t deadline_reorders = 0;
   /// Requests shed by admission control (pending queues at max_pending):
   /// evicted victims (expired-deadline or oldest-lowest-class) and
-  /// rejected-incoming requests. Merged into EngineStats::shed_admission /
-  /// results_shed by stats().
+  /// rejected-incoming requests. The engine never sees these requests, so
+  /// EngineStats::results_shed does not count them.
   size_t shed_admission = 0;
   /// Subset of shed_admission: victims whose deadline had ALREADY expired
   /// while they waited. Admission control prefers these — the dispatcher
   /// would shed them at dispatch anyway, so evicting them costs nothing —
   /// over the oldest-lowest-class victim; they resolve with
   /// DEADLINE_EXCEEDED (not RESOURCE_EXHAUSTED: retrying is pointless).
-  /// Merged into EngineStats::shed_expired_victims by stats().
   size_t expired_victims = 0;
   /// High-water mark of the pending-queue depth observed after any
   /// Submit. With max_pending > 0 this never exceeds it — the saturation
   /// smoke asserts exactly that.
   size_t max_pending_seen = 0;
+  /// Queue-latency percentiles per priority class (index =
+  /// RequestPriority value: 0 low, 1 normal, 2 high).
+  std::array<ClassQueueStats, 3> class_queue;
 };
+
+/// Multi-line human-readable rendering of one serving stack's counters:
+/// the dispatcher's and its wrapped engine's. The STATS control verb
+/// replies with it and `naru_cli serve` prints it on exit; perfbench
+/// parses the `# async:`, `# engine:`, `# caches:`, `# plans:` and
+/// `# workspaces created:` lines, so their leading fields keep their order.
+std::string FormatEngineStats(const EngineStats& engine,
+                              const AsyncEngineStats& async);
 
 /// A streaming serving front-end over one InferenceEngine. Thread-safe:
 /// any number of threads may Submit concurrently. Estimators passed to
@@ -187,13 +207,8 @@ class AsyncEngine {
   void Drain();
 
   AsyncEngineStats async_stats() const;
-  /// The wrapped engine's counters and cache occupancy, with the
-  /// dispatcher-side fields merged in: priority_flushes, shed_admission
-  /// (also folded into results_shed — an admission-shed caller received a
-  /// shed result). The blocking engine has no queue to reorder or bound,
-  /// so those fields are dispatcher-owned.
-  EngineStats stats() const;
-  /// The wrapped blocking engine (e.g. for ClearCachesFor on retrain).
+  /// The wrapped blocking engine: its stats() are the compute-side
+  /// counters, and ClearCachesFor drops a retrained model's memo.
   InferenceEngine* engine() { return &engine_; }
 
  private:
@@ -277,7 +292,7 @@ class AsyncEngine {
   AsyncEngineStats stats_ NARU_GUARDED_BY(mu_);
   /// Per-class queue-latency accumulation over every delivered result
   /// (admission sheds and joiners included — each waited its own time);
-  /// stats() renders percentiles into EngineStats::class_latency.
+  /// async_stats() renders percentiles into class_queue.
   std::array<LatencyHistogram, kNumPriorities> class_queue_
       NARU_GUARDED_BY(mu_);
   /// Smoothed per-request service time across dispatched micro-batches

@@ -79,12 +79,10 @@ size_t InferenceEngine::num_threads() const {
 EngineStats InferenceEngine::stats() const {
   MutexLock lock(&mu_);
   EngineStats snapshot = stats_;
-  for (const auto& [model, cache] : caches_) {
+  for (const auto& [model, memo] : memos_) {
     (void)model;
-    snapshot.memo_entries += cache.result_memo.entries();
-    snapshot.memo_bytes += cache.result_memo.bytes();
-    snapshot.marginal_entries += cache.leading_mass.entries();
-    snapshot.marginal_bytes += cache.leading_mass.bytes();
+    snapshot.memo_entries += memo.entries();
+    snapshot.memo_bytes += memo.bytes();
   }
   snapshot.workspaces_created = workspaces_.total_created();
   for (size_t c = 0; c < class_compute_.size(); ++c) {
@@ -97,72 +95,16 @@ EngineStats InferenceEngine::stats() const {
   return snapshot;
 }
 
-std::string FormatEngineStats(const EngineStats& stats) {
-  std::string out;
-  out += StrFormat(
-      "# engine: %zu queries (%zu sampled, %zu enumerated, %zu exact "
-      "shortcuts, %zu shed on deadline, %zu abandoned mid-walk, %zu shed "
-      "at admission)\n",
-      stats.queries, stats.sampled, stats.enumerated, stats.exact_shortcuts,
-      stats.shed_deadline, stats.shed_midwalk, stats.shed_admission);
-  out += StrFormat(
-      "# results: %zu cache_hit / %zu exact / %zu enumerated / %zu "
-      "planned_group / %zu shed; %zu priority flushes\n",
-      stats.results_cache_hit, stats.results_exact, stats.results_enumerated,
-      stats.results_planned, stats.results_shed, stats.priority_flushes);
-  out += StrFormat(
-      "# caches: memo %zu hits / %zu misses / %zu evictions (%zu entries, "
-      "%.1f KB), marginal %zu hits / %zu misses / %zu evictions (%zu "
-      "entries, %.1f KB)\n",
-      stats.memo_hits, stats.memo_misses, stats.memo_evictions,
-      stats.memo_entries, stats.memo_bytes / 1024.0, stats.marginal_hits,
-      stats.marginal_misses, stats.marginal_evictions, stats.marginal_entries,
-      stats.marginal_bytes / 1024.0);
-  out += StrFormat(
-      "# plans: %zu queries in %zu trees over %zu batches, avg tree %.1f, "
-      "prefix-share ratio %.3f (%zu of %zu column walks shared)\n",
-      stats.planned_queries, stats.plan_trees, stats.plan_batches,
-      stats.plan_trees == 0 ? 0.0
-                            : static_cast<double>(stats.planned_queries) /
-                                  static_cast<double>(stats.plan_trees),
-      stats.prefix_share_ratio(), stats.plan_shared_cols,
-      stats.plan_walk_cols);
-  out += StrFormat("# plan trees: max fork depth %zu, max fanout %zu\n",
-                   stats.plan_max_depth, stats.plan_max_fanout);
-  out += StrFormat("# workspaces created: %zu\n", stats.workspaces_created);
-  if (stats.shed_expired_victims > 0) {
-    out += StrFormat(
-        "# admission victims already expired when evicted: %zu\n",
-        stats.shed_expired_victims);
-  }
-  static const char* kClassNames[3] = {"low", "normal", "high"};
-  for (size_t c = 0; c < stats.class_latency.size(); ++c) {
-    const ClassLatencyStats& cls = stats.class_latency[c];
-    if (cls.results == 0 && cls.queued == 0) continue;
-    out += StrFormat(
-        "# class %-6s %zu results, compute p50/p99/max %.3f/%.3f/%.3f ms",
-        kClassNames[c], cls.results, cls.compute_p50_ms, cls.compute_p99_ms,
-        cls.compute_max_ms);
-    if (cls.queued > 0) {
-      out += StrFormat(", queue (%zu measured) p50/p99/max %.3f/%.3f/%.3f ms",
-                       cls.queued, cls.queue_p50_ms, cls.queue_p99_ms,
-                       cls.queue_max_ms);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 void InferenceEngine::ClearCaches() {
   MutexLock lock(&mu_);
-  caches_.clear();
+  memos_.clear();
   stats_ = EngineStats{};
   for (LatencyHistogram& h : class_compute_) h.Clear();
 }
 
 void InferenceEngine::ClearCachesFor(const ConditionalModel* model) {
   MutexLock lock(&mu_);
-  caches_.erase(model);
+  memos_.erase(model);
 }
 
 void InferenceEngine::EstimateBatch(NaruEstimator* est,
@@ -177,13 +119,22 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
   if (n == 0) return;
   const auto compute_start = std::chrono::steady_clock::now();
 
-  // Shed pass: a request whose deadline has already passed costs nothing
-  // beyond this check — no key, no cache traffic, no walk. Checked once
-  // per batch (the deadline is soft; in-batch compute is never cancelled).
+  // Shed pass: a request whose deadline has already passed, or whose
+  // sample budget is over the cap, costs nothing beyond this check — no
+  // key, no cache traffic, no walk. Checked once per batch (the deadline
+  // is soft; in-batch compute is never cancelled).
   std::vector<uint8_t> live(n, 1);
+  size_t rejected_count = 0;
   size_t shed_count = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (requests[i].options.ExpiredAt(compute_start)) {
+    if (requests[i].options.num_samples > EstimateOptions::kMaxSamples) {
+      live[i] = 0;
+      (*out)[i].status = Status::InvalidArgument(
+          StrFormat("num_samples %zu exceeds the cap of %zu",
+                    requests[i].options.num_samples,
+                    EstimateOptions::kMaxSamples));
+      ++rejected_count;
+    } else if (requests[i].options.ExpiredAt(compute_start)) {
       live[i] = 0;
       (*out)[i] = EstimateResult::Shed(
           Status::DeadlineExceeded("deadline expired before dispatch"));
@@ -213,7 +164,7 @@ void InferenceEngine::EstimateBatch(NaruEstimator* est,
       }
     }
   };
-  if (shed_count == n) {
+  if (rejected_count + shed_count == n) {
     tally();
     return;
   }
@@ -395,16 +346,16 @@ bool InferenceEngine::ResolveBeforeSampling(
     return true;
   }
 
-  // A per-request policy can only restrict what the engine-level switch
-  // allows: kReadOnly serves hot entries without polluting the working
-  // set, kBypass recomputes (to the bit-identical value) end to end.
-  const bool cache_lookup =
-      cfg_.enable_cache && cache_policy != CachePolicy::kBypass;
-  const bool cache_store =
-      cfg_.enable_cache && cache_policy == CachePolicy::kReadWrite;
+  // A zero budget keeps nothing, so it skips the memo entirely; a
+  // per-request policy can only restrict further: kReadOnly serves hot
+  // entries without polluting the working set, kBypass recomputes (to the
+  // bit-identical value) end to end.
+  const bool caching = cfg_.cache_budget_bytes > 0;
+  const bool cache_lookup = caching && cache_policy != CachePolicy::kBypass;
+  const bool cache_store = caching && cache_policy == CachePolicy::kReadWrite;
   if (cache_lookup) {
     MutexLock lock(&mu_);
-    if (caches_[model].result_memo.Lookup(memo_key, &result->estimate)) {
+    if (memos_[model].Lookup(memo_key, &result->estimate)) {
       ++stats_.memo_hits;
       result->provenance = ResultProvenance::kCacheHit;
       return true;
@@ -444,32 +395,10 @@ bool InferenceEngine::ResolveBeforeSampling(
       MutexLock lock(&mu_);
       ++stats_.exact_shortcuts;
     } else if (path == ProgressiveSampler::Path::kLeadingOnly) {
-      // P̂(X_0 ∈ R_0) depends only on the masked region, so repeated
-      // predicate prefixes skip the forward pass entirely.
-      const std::string region_key =
-          RegionKey(query.region(model->TableColumnOf(0)));
+      result->estimate = est->sampler()->LeadingOnlyMass(query);
       result->provenance = ResultProvenance::kExact;
-      bool hit = false;
-      if (cache_lookup) {
-        MutexLock lock(&mu_);
-        auto& masses = caches_[model].leading_mass;
-        if (masses.Lookup(region_key, &result->estimate)) {
-          hit = true;
-          ++stats_.marginal_hits;
-          ++stats_.exact_shortcuts;
-        } else {
-          ++stats_.marginal_misses;
-        }
-      }
-      if (!hit) {
-        result->estimate = est->sampler()->LeadingOnlyMass(query);
-        MutexLock lock(&mu_);
-        ++stats_.exact_shortcuts;
-        if (cache_store) {
-          stats_.marginal_evictions += caches_[model].leading_mass.Insert(
-              region_key, result->estimate, cfg_.cache_budget_bytes);
-        }
-      }
+      MutexLock lock(&mu_);
+      ++stats_.exact_shortcuts;
     } else {
       return false;  // needs a progressive-sampling walk
     }
@@ -477,7 +406,7 @@ bool InferenceEngine::ResolveBeforeSampling(
 
   if (cache_store) {
     MutexLock lock(&mu_);
-    stats_.memo_evictions += caches_[model].result_memo.Insert(
+    stats_.memo_evictions += memos_[model].Insert(
         memo_key, result->estimate, cfg_.cache_budget_bytes);
   }
   return true;
@@ -558,7 +487,7 @@ void InferenceEngine::EstimatePlanned(
   stats_.plan_walk_cols += plan.WalkColumns();
   stats_.plan_max_depth = std::max(stats_.plan_max_depth, plan.MaxForkDepth());
   stats_.plan_max_fanout = std::max(stats_.plan_max_fanout, plan.MaxFanout());
-  auto& memo = caches_[est->model()].result_memo;
+  auto& memo = memos_[est->model()];
   for (size_t i = 0; i < reps.size(); ++i) {
     EstimateResult& r = (*out)[reps[i].index];
     if (!statuses[i].ok()) {
@@ -576,7 +505,8 @@ void InferenceEngine::EstimatePlanned(
     r.status = Status::OK();
     r.provenance = ResultProvenance::kPlannedGroup;
     r.samples_used = reps[i].budget;
-    if (cfg_.enable_cache && reps[i].policy == CachePolicy::kReadWrite) {
+    if (cfg_.cache_budget_bytes > 0 &&
+        reps[i].policy == CachePolicy::kReadWrite) {
       stats_.memo_evictions += memo.Insert(reps[i].memo_key, estimates[i],
                                            cfg_.cache_budget_bytes);
     }

@@ -6,12 +6,11 @@
 // batch's sampled queries compile into one SamplingPlan (src/plan) whose
 // (tree, shard) tasks spread across a thread pool. Every model walks
 // through that plan executor, and NaruEstimator::Estimate is a one-request
-// batch here. Everything the engine caches is exact and deterministic —
-// empty regions, trailing-wildcard early exits, masked first-column
-// marginal masses keyed on the masked region, and full-query memo
-// entries — so for a fixed sampler seed an estimate is bit-identical to
-// the same query served alone, regardless of batch size, thread count, or
-// cache eviction history.
+// batch here. The one thing the engine caches is the exact full-query
+// result memo (exact shortcuts, enumerations and sampled walks alike), so
+// for a fixed sampler seed an estimate is bit-identical to the same query
+// served alone, regardless of batch size, thread count, or cache eviction
+// history.
 //
 // The native surface is typed (serve/request.h): EstimateBatch maps
 // EstimateRequests — query + per-request sample budget, soft deadline,
@@ -21,7 +20,7 @@
 // attribution. For default options it is bit-identical to
 // NaruEstimator::Estimate.
 //
-// Caches are size-aware LRU maps (serve/lru_cache.h) bounded by a byte
+// The memo is a size-aware LRU map (serve/lru_cache.h) bounded by a byte
 // budget per model; hit/miss/eviction counters and occupancy are exposed
 // through EngineStats. For an asynchronous Submit()-based surface on top
 // of this engine, see serve/async_engine.h.
@@ -53,17 +52,13 @@ struct InferenceEngineConfig {
   /// on the process-global pool regardless of this setting (it is the
   /// only parallelism they have).
   size_t num_threads = 0;
-  /// Cache exact results (memo + first-column marginal masses). Hits can
-  /// never change an estimate, only skip redundant forward passes. A
-  /// request's CachePolicy can only further RESTRICT caching (read-only /
-  /// bypass), never enable it past this switch.
-  bool enable_cache = true;
-  /// Per-model byte budget for EACH exact-result cache (the memo and the
-  /// marginal-mass map are budgeted independently). Entries are charged
-  /// key bytes + LruResultCache::kEntryOverheadBytes; once a budget is
-  /// exceeded the least-recently-used entries are evicted. Eviction can
-  /// never change an estimate — a re-asked query recomputes to the
-  /// bit-identical value through the deterministic sampler.
+  /// Per-model byte budget of the exact-result memo. Entries are charged
+  /// key bytes + LruResultCache::kEntryOverheadBytes; once the budget is
+  /// exceeded the least-recently-used entries are evicted. Hits and
+  /// eviction can never change an estimate — a re-asked query recomputes
+  /// to the bit-identical value through the deterministic sampler. 0
+  /// keeps nothing: the engine skips every lookup and insert. A request's
+  /// CachePolicy can only further restrict caching (read-only / bypass).
   size_t cache_budget_bytes = 4 * 1024 * 1024;
   /// Fork fan-out cap per plan tree: 0 = auto-tuned per batch from the
   /// model's StackedWidthHint, its active inference kernel, and the
@@ -74,21 +69,16 @@ struct InferenceEngineConfig {
   size_t group_width = 0;
 };
 
-/// Per-priority-class latency percentiles (snapshot computed by stats()
+/// Per-priority-class compute percentiles (snapshot computed by stats()
 /// from fixed-memory log-bucketed histograms — see util/latency_histogram.h
-/// for the ~19% resolution caveat; counts and maxima are exact). Queue
-/// fields are dispatcher-side and filled only through AsyncEngine::stats()
-/// (the blocking engine has no queue); compute fields cover every result
-/// the engine delivered for the class, duplicates included.
+/// for the ~19% resolution caveat; counts and maxima are exact). They
+/// cover every result the engine delivered for the class, duplicates
+/// included; the queue side lives in AsyncEngineStats::class_queue.
 struct ClassLatencyStats {
   size_t results = 0;          ///< results delivered in this class
   double compute_p50_ms = 0.0;
   double compute_p99_ms = 0.0;
   double compute_max_ms = 0.0;
-  size_t queued = 0;           ///< async deliveries with a measured queue time
-  double queue_p50_ms = 0.0;
-  double queue_p99_ms = 0.0;
-  double queue_max_ms = 0.0;
 };
 
 /// Serving counters and cache introspection. Counters are cumulative
@@ -100,18 +90,13 @@ struct EngineStats {
   size_t queries = 0;            ///< requests accepted by EstimateBatch
   size_t memo_hits = 0;          ///< full-query cache hits
   size_t memo_misses = 0;        ///< full-query lookups that missed
-  size_t marginal_hits = 0;      ///< first-column marginal-mass cache hits
-  size_t marginal_misses = 0;    ///< marginal-mass lookups that missed
   size_t exact_shortcuts = 0;    ///< empty / all-wildcard / leading-only
   size_t enumerated = 0;         ///< answered by exact enumeration
   size_t sampled = 0;            ///< full progressive-sampling walks
 
   size_t memo_evictions = 0;     ///< LRU evictions from the memo caches
-  size_t marginal_evictions = 0; ///< LRU evictions from the marginal caches
   size_t memo_entries = 0;       ///< live memo entries across all models
   size_t memo_bytes = 0;         ///< charged memo bytes across all models
-  size_t marginal_entries = 0;   ///< live marginal entries across models
-  size_t marginal_bytes = 0;     ///< charged marginal bytes across models
 
   size_t planned_queries = 0;    ///< sampled walks served through plans
   size_t plan_batches = 0;       ///< batches that compiled a sampling plan
@@ -135,26 +120,9 @@ struct EngineStats {
   /// requests resolve with DEADLINE_EXCEEDED. Counts computations, not
   /// requests (coalesced duplicates share one abandonment).
   size_t shed_midwalk = 0;
-  /// Requests shed with RESOURCE_EXHAUSTED by admission control: the
-  /// async pending queue was at AsyncEngineConfig::max_pending and this
-  /// request was (or became) the oldest of the lowest pending priority
-  /// class. Filled only through AsyncEngine::stats() — the blocking
-  /// engine has no admission queue.
-  size_t shed_admission = 0;
-  /// Async-dispatcher flushes whose micro-batch was cut out of FIFO order
-  /// because a higher priority class jumped a queue. Filled only through
-  /// AsyncEngine::stats() — the blocking engine has no queue to reorder.
-  size_t priority_flushes = 0;
-  /// Subset of shed_admission whose victim's deadline had ALREADY expired
-  /// while it waited in the pending queues: admission control prefers
-  /// evicting such doomed requests (the dispatcher would shed them anyway)
-  /// over the oldest-lowest-class one. Filled only through
-  /// AsyncEngine::stats().
-  size_t shed_expired_victims = 0;
 
-  /// Per-priority-class latency percentiles (index = RequestPriority
-  /// value: 0 low, 1 normal, 2 high). Compute fields are engine-side;
-  /// queue fields are merged in by AsyncEngine::stats().
+  /// Per-priority-class compute percentiles (index = RequestPriority
+  /// value: 0 low, 1 normal, 2 high).
   std::array<ClassLatencyStats, 3> class_latency;
 
   /// Results DELIVERED per provenance (serve/request.h). Unlike the
@@ -175,10 +143,6 @@ struct EngineStats {
                      static_cast<double>(plan_walk_cols);
   }
 };
-
-/// Multi-line human-readable rendering of the counters (what `naru_cli
-/// serve` prints on exit and on SIGINT).
-std::string FormatEngineStats(const EngineStats& stats);
 
 /// The blocking batch-serving engine. Thread-safe with respect to its own
 /// state; see EstimateBatch for the per-model concurrency contract.
@@ -231,16 +195,6 @@ class InferenceEngine {
   SamplerWorkspacePool* workspace_pool() { return &workspaces_; }
 
  private:
-  struct ModelCache {
-    /// Keys embed the estimator's sampling config in addition to the query
-    /// regions: estimators wrapping the same model with different path
-    /// counts/seeds must not share entries.
-    LruResultCache result_memo;
-    /// Keyed on the masked region only — marginal masses are exact and
-    /// config-independent.
-    LruResultCache leading_mass;
-  };
-
   /// Every routing step short of the sampled walk: memo lookup, empty
   /// region, enumeration, trailing-wildcard exit, leading-only marginal.
   /// Returns true with *result filled when the query resolved; false when
@@ -297,7 +251,10 @@ class InferenceEngine {
   /// map/counter update, and a single capability keeps the hit-count and
   /// occupancy columns of one stats() snapshot mutually consistent.
   mutable Mutex mu_;
-  std::unordered_map<const ConditionalModel*, ModelCache> caches_
+  /// The result memo per model. Keys embed the estimator's sampling config
+  /// in addition to the query regions: estimators wrapping the same model
+  /// with different path counts/seeds must not share entries.
+  std::unordered_map<const ConditionalModel*, LruResultCache> memos_
       NARU_GUARDED_BY(mu_);
   EngineStats stats_ NARU_GUARDED_BY(mu_);
   /// Per-priority-class compute_ms accumulation (index = RequestPriority

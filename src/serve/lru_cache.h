@@ -1,9 +1,8 @@
-// Size-aware LRU map for the serving engine's exact-result caches.
+// Size-aware LRU map for the serving engine's exact-result memo.
 //
-// The InferenceEngine memoizes only exact values (full-query estimates,
-// masked first-column marginal masses), so eviction is always safe: a
-// dropped entry recomputes to the bit-identical value through the
-// deterministic sampler. That lets the cache bound MEMORY, not
+// The InferenceEngine memoizes only exact full-query values, so eviction
+// is always safe: a dropped entry recomputes to the bit-identical value
+// through the deterministic sampler. That lets the cache bound MEMORY, not
 // correctness — entries are charged by their key bytes plus a fixed
 // per-entry overhead, and the least-recently-used entries are evicted as
 // soon as a byte budget is exceeded.

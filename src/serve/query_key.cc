@@ -33,12 +33,6 @@ void AppendRegionKey(const ValueSet& region, std::string* out) {
   }
 }
 
-std::string RegionKey(const ValueSet& region) {
-  std::string key;
-  AppendRegionKey(region, &key);
-  return key;
-}
-
 void AppendQueryKey(const Query& query, std::string* out) {
   AppendRaw<uint64_t>(query.num_columns(), out);
   for (size_t c = 0; c < query.num_columns(); ++c) {

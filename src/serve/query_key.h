@@ -1,10 +1,10 @@
 // Exact byte-string cache keys for query regions.
 //
-// The serving engine memoizes exact results (full-query estimates, masked
-// first-column marginal masses) in hash maps. Keys are canonical byte
-// serializations of ValueSets, not hashes, so two queries share an entry
-// only when their allowed regions are literally identical — a cache hit can
-// never change an estimate.
+// The serving engine memoizes exact full-query results in hash maps, and
+// the plan compiler compares per-column region descriptors. Keys are
+// canonical byte serializations of ValueSets, not hashes, so two queries
+// share an entry only when their allowed regions are literally identical —
+// a cache hit can never change an estimate.
 #pragma once
 
 #include <string>
@@ -18,9 +18,6 @@ namespace naru {
 /// explicit sets that allow the same codes encode differently; that is
 /// fine (a missed hit, never a wrong one).
 void AppendRegionKey(const ValueSet& region, std::string* out);
-
-/// Canonical key of one region.
-std::string RegionKey(const ValueSet& region);
 
 /// Appends the canonical key of a whole query (all per-column regions in
 /// order) to *out — the allocation-free form the serving engine's keyed

@@ -42,11 +42,12 @@ enum class RequestPriority : uint8_t {
 };
 
 /// Per-request result-cache policy. Hits can never change an estimate
-/// (the caches store only exact values), so this is a freshness /
+/// (the memo stores only exact values), so this is a freshness /
 /// footprint knob, not a correctness one.
 enum class CachePolicy : uint8_t {
-  /// Look up and store through the engine's exact-result caches (subject
-  /// to the engine-level enable_cache switch). The default.
+  /// Look up and store through the engine's exact-result memo (an engine
+  /// whose cache_budget_bytes is 0 keeps nothing, whatever the policy).
+  /// The default.
   kReadWrite = 0,
   /// Look up but never insert: serve hot entries without letting this
   /// request's (e.g. one-off, scan-like) key evict the working set.
@@ -83,8 +84,15 @@ struct EstimateOptions {
   /// requests for one query with different budgets are different
   /// computations (they never coalesce and never share memo entries).
   /// Exact paths (enumeration, empty/wildcard/leading-only shortcuts)
-  /// ignore it.
+  /// ignore it. A value above kMaxSamples is rejected with a typed
+  /// INVALID_ARGUMENT result and costs no model evaluation.
   size_t num_samples = 0;
+
+  /// Largest per-request budget the engine serves: 8,192 shards at the
+  /// default shard size. The budget arrives from outside the process (the
+  /// wire carries it as a u64), and the plan executor pushes one task per
+  /// (tree, shard), so an unchecked budget could ask for billions of tasks.
+  static constexpr size_t kMaxSamples = size_t{1} << 20;
 
   /// Soft completion deadline. A request whose deadline has already
   /// passed when the engine dispatches it is SHED: it costs no model
@@ -106,11 +114,10 @@ struct EstimateOptions {
   /// Result-cache interaction; see CachePolicy.
   CachePolicy cache_policy = CachePolicy::kReadWrite;
 
-  /// Convenience: a deadline `ms` milliseconds from now.
+  /// Convenience: a deadline `ms` milliseconds from now (DeadlineAfterMs:
+  /// too far out for the clock, or +inf, is kNoDeadline).
   static std::chrono::steady_clock::time_point DeadlineInMs(double ms) {
-    return std::chrono::steady_clock::now() +
-           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-               std::chrono::duration<double, std::milli>(ms));
+    return DeadlineAfterMs(std::chrono::steady_clock::now(), ms);
   }
 
   bool has_deadline() const { return deadline != kNoDeadline; }

@@ -20,12 +20,34 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 
 namespace naru {
 
 /// Sentinel for "no deadline": never expires.
 inline constexpr std::chrono::steady_clock::time_point kNoDeadline =
     std::chrono::steady_clock::time_point::max();
+
+/// `from` plus `ms` milliseconds, for relative times that arrive from
+/// outside the process (the wire's deadline_ms, a trace's `~<ms>` and
+/// `@<ms>` tokens). A sum past the clock's range, +inf and NaN give
+/// kNoDeadline — waiting that long is waiting forever — and a sum before
+/// its range gives the earliest instant, already expired. Converting such
+/// a value directly would overflow the clock's integer tick count.
+inline std::chrono::steady_clock::time_point DeadlineAfterMs(
+    std::chrono::steady_clock::time_point from, double ms) {
+  using Clock = std::chrono::steady_clock;
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::milli>(ms))
+                           .count();
+  Clock::rep sum = 0;
+  if (!(std::fabs(ticks) < 0x1p63) ||
+      __builtin_add_overflow(from.time_since_epoch().count(),
+                             static_cast<Clock::rep>(ticks), &sum)) {
+    return ms < 0 ? Clock::time_point::min() : kNoDeadline;
+  }
+  return Clock::time_point(Clock::duration(sum));
+}
 
 /// True once `now` has reached `deadline` (inclusive). kNoDeadline never
 /// expires.

@@ -9,9 +9,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -371,6 +373,64 @@ TEST(NetProtocol, ToEstimateRequestPinsRelativeDeadline) {
   EXPECT_FALSE(ToEstimateRequest(wire, now).options.has_deadline());
 }
 
+// A deadline so loose that now + it overflows the clock's tick count is no
+// deadline at all, not a deadline in the past.
+TEST(NetProtocol, ToEstimateRequestMapsUnrepresentableDeadlinesToNone) {
+  WireEstimateRequest wire = SampleRequest();
+  const auto now = std::chrono::steady_clock::now();
+  for (const double ms : {1e13, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    wire.deadline_ms = ms;
+    EXPECT_FALSE(ToEstimateRequest(wire, now).options.has_deadline())
+        << "deadline_ms " << ms;
+  }
+  wire.deadline_ms = 1e9;  // about 11.6 days: representable, so pinned
+  const EstimateRequest req = ToEstimateRequest(wire, now);
+  ASSERT_TRUE(req.options.has_deadline());
+  const std::chrono::duration<double, std::milli> delta =
+      req.options.deadline - now;
+  EXPECT_NEAR(delta.count(), 1e9, 1e-3);
+}
+
+// An IN-list of distinct negative codes as large as one frame can carry
+// clips to an empty region. Decoding runs on the server's only I/O thread,
+// so clipping must stay linear in the list length: a quadratic clip would
+// stall every connection for minutes at this size.
+TEST(NetProtocol, NegativeInListAtThePayloadCapClipsToEmpty) {
+  std::string head;
+  head += static_cast<char>(kProtocolVersion);
+  head += static_cast<char>(FrameType::kEstimateRequest);
+  AppendU64(42, &head);                  // request id
+  AppendU32(1, &head);                   // tenant
+  head += 't';
+  AppendU32(1, &head);                   // one region
+  head += static_cast<char>(ValueSet::Kind::kSet);
+  AppendU64(9, &head);                   // domain
+  std::string tail;
+  AppendU64(0, &tail);                   // num_samples
+  AppendU64(0xbff0000000000000ull, &tail);  // deadline_ms = -1.0
+  tail += static_cast<char>(RequestPriority::kNormal);
+  tail += static_cast<char>(CachePolicy::kReadWrite);
+  const size_t n = (kMaxFramePayloadBytes - head.size() - 4 - tail.size()) / 4;
+  std::string payload = head;
+  AppendU32(static_cast<uint32_t>(n), &payload);
+  payload.reserve(payload.size() + 4 * n + tail.size());
+  for (size_t k = 0; k < n; ++k) {
+    AppendU32(static_cast<uint32_t>(-static_cast<int64_t>(k) - 1), &payload);
+  }
+  payload += tail;
+  ASSERT_LE(payload.size(), kMaxFramePayloadBytes);
+  ASSERT_GT(payload.size() + 4, kMaxFramePayloadBytes);
+
+  Frame frame;
+  const Status st = DecodeFrame(payload, &frame);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(frame.request.regions.size(), 1u);
+  EXPECT_EQ(frame.request.regions[0].Count(), 0u);
+  EXPECT_TRUE(Query(frame.request.regions).HasEmptyRegion());
+}
+
 TEST(NetProtocol, WireResponseReconstructsEstimateResultBitExactly) {
   EstimateResult result;
   result.estimate = 0.1234567890123456789;
@@ -490,6 +550,11 @@ TEST(TraceFormat, ApplyToStampsOptionsAndFormatLineShowsRetryHint) {
   EXPECT_EQ(options.priority, RequestPriority::kHigh);
   ASSERT_TRUE(options.has_deadline());
   EXPECT_GE(options.deadline, before);
+  // Too far out for the clock: no deadline, not one in the past.
+  p.deadline_ms = 1e13;
+  EstimateOptions far;
+  p.ApplyTo(&far);
+  EXPECT_FALSE(far.has_deadline());
 
   EstimateResult ok;
   ok.estimate = 0.25;
@@ -615,7 +680,7 @@ class NetServerTest : public ::testing::Test {
     alpha_opts.engine.max_wait_ms = 0.0;
     alpha_opts.engine.max_pending = 4;
     alpha_opts.engine.engine.num_threads = 1;
-    alpha_opts.engine.engine.enable_cache = false;
+    alpha_opts.engine.engine.cache_budget_bytes = 0;
     const size_t alpha_bytes = alpha_model->SizeBytes();
     ASSERT_TRUE(registry_
                     .AddTenant("alpha", "alpha_t", alpha_table_.num_rows(),
@@ -629,7 +694,7 @@ class NetServerTest : public ::testing::Test {
     beta_opts.engine.max_batch_size = 8;
     beta_opts.engine.max_wait_ms = 0.5;
     beta_opts.engine.engine.num_threads = 1;
-    beta_opts.engine.engine.enable_cache = false;
+    beta_opts.engine.engine.cache_budget_bytes = 0;
     const size_t beta_bytes = beta_model->SizeBytes();
     ASSERT_TRUE(registry_
                     .AddTenant("beta", "beta_t", beta_table_.num_rows(),
@@ -828,6 +893,162 @@ TEST_F(NetServerTest, ControlVerbsListAndStats) {
   stats.tenant = "no-such-tenant";
   ASSERT_TRUE(client.CallControl(stats, &resp).ok());
   EXPECT_EQ(resp.status_code, StatusCode::kNotFound);
+}
+
+// Requests whose budget or deadline is out of range get a typed answer
+// over the wire: an oversized sample budget is INVALID_ARGUMENT (no walk),
+// an unrepresentably loose deadline is served as no deadline.
+TEST_F(NetServerTest, OutOfRangeBudgetsAndDeadlinesAreTyped) {
+  NetClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  WireEstimateResponse resp;
+  WireEstimateRequest wire = MakeWire("beta", beta_queries_[0], 1);
+  wire.num_samples = std::numeric_limits<uint64_t>::max();
+  ASSERT_TRUE(client.CallEstimate(wire, &resp).ok());
+  EXPECT_EQ(resp.status_code, StatusCode::kInvalidArgument);
+  EXPECT_TRUE(std::isnan(resp.estimate));
+
+  for (const double ms : {1e13, std::numeric_limits<double>::infinity()}) {
+    wire = MakeWire("beta", beta_queries_[0], 2);
+    wire.deadline_ms = ms;
+    ASSERT_TRUE(client.CallEstimate(wire, &resp).ok());
+    EXPECT_EQ(resp.status_code, StatusCode::kOk) << "deadline_ms " << ms;
+    EXPECT_EQ(Bits(resp.estimate), Bits(beta_ref_[0]));
+  }
+}
+
+// perfbench (ParseStats in perfbench/loadgen.cc) reads the STATS reply
+// with exactly these sscanf formats and exits when one stops matching, so
+// the reply's shape is a contract; its values are the tenant's own
+// engine()->stats() and async_stats().
+TEST_F(NetServerTest, StatsReplyKeepsTheShapePerfbenchParses) {
+  TenantOptions opts;
+  opts.estimator = ncfg_;
+  opts.engine.engine.num_threads = 1;  // default cache budget: memo hits
+  auto model = SmallTrainedModel(beta_table_, 3);
+  const size_t model_bytes = model->SizeBytes();
+  ASSERT_TRUE(registry_
+                  .AddTenant("gamma", "beta_t", beta_table_.num_rows(),
+                             TableDomains(beta_table_), std::move(model),
+                             model_bytes, opts)
+                  .ok());
+  NetClient client;
+  ASSERT_TRUE(ConnectClient(&client).ok());
+  ASSERT_EQ(RunTrace(&client, "gamma", beta_queries_).size(),
+            beta_queries_.size());
+  ASSERT_EQ(RunTrace(&client, "gamma", beta_queries_).size(),
+            beta_queries_.size());
+  const std::shared_ptr<Tenant> gamma = registry_.GetTenant("gamma");
+  ASSERT_NE(gamma, nullptr);
+  gamma->engine->Drain();  // every counter settled before the snapshot
+
+  WireControlRequest req;
+  req.request_id = 1000;
+  req.verb = ControlVerb::kStats;
+  req.tenant = "gamma";
+  WireControlResponse resp;
+  ASSERT_TRUE(client.CallControl(req, &resp).ok());
+  ASSERT_EQ(resp.status_code, StatusCode::kOk);
+  const EngineStats es = gamma->engine->engine()->stats();
+  const AsyncEngineStats as = gamma->engine->async_stats();
+  ASSERT_GT(es.memo_hits, 0u);
+  ASSERT_GT(es.planned_queries, 0u);
+
+  size_t submitted = 0, completed = 0, batches = 0, largest = 0, joined = 0,
+         admission_shed = 0, peak = 0;
+  size_t size_flushes = 0, deadline_flushes = 0, drain_flushes = 0,
+         reorders = 0;
+  size_t queries = 0, sampled = 0, enumerated = 0, exact = 0,
+         shed_deadline = 0, midwalk = 0, shed_adm = 0;
+  size_t memo_hits = 0, memo_misses = 0, evictions = 0, entries = 0;
+  size_t planned = 0, trees = 0, plan_batches = 0, shared_cols = 0,
+         walk_cols = 0, workspaces = 0;
+  double kb = 0, avg = 0, ratio = 0;
+  int found = 0;
+  std::istringstream in(resp.text);
+  std::string line;
+  while (std::getline(in, line)) {
+    const char* l = line.c_str();
+    if (std::sscanf(l,
+                    "# async: %zu submitted, %zu completed, %zu batches "
+                    "(largest %zu), %zu joined twins, %zu admission-shed, "
+                    "peak pending %zu",
+                    &submitted, &completed, &batches, &largest, &joined,
+                    &admission_shed, &peak) == 7) {
+      found |= 1;
+      // The flush reasons follow where perfbench's format stops reading.
+      EXPECT_EQ(std::sscanf(l,
+                            "# async: %zu submitted, %zu completed, %zu "
+                            "batches (largest %zu), %zu joined twins, %zu "
+                            "admission-shed, peak pending %zu; %zu size / "
+                            "%zu deadline / %zu drain flushes, %zu deadline "
+                            "reorders",
+                            &submitted, &completed, &batches, &largest,
+                            &joined, &admission_shed, &peak, &size_flushes,
+                            &deadline_flushes, &drain_flushes, &reorders),
+                11)
+          << line;
+    } else if (std::sscanf(l,
+                           "# engine: %zu queries (%zu sampled, %zu "
+                           "enumerated, %zu exact shortcuts, %zu shed on "
+                           "deadline, %zu abandoned mid-walk, %zu shed at "
+                           "admission)",
+                           &queries, &sampled, &enumerated, &exact,
+                           &shed_deadline, &midwalk, &shed_adm) == 7) {
+      found |= 2;
+    } else if (std::sscanf(l,
+                           "# caches: memo %zu hits / %zu misses / %zu "
+                           "evictions (%zu entries, %lf KB)",
+                           &memo_hits, &memo_misses, &evictions, &entries,
+                           &kb) == 5) {
+      found |= 4;
+    } else if (std::sscanf(l,
+                           "# plans: %zu queries in %zu trees over %zu "
+                           "batches, avg tree %lf, prefix-share ratio %lf "
+                           "(%zu of %zu column walks shared)",
+                           &planned, &trees, &plan_batches, &avg, &ratio,
+                           &shared_cols, &walk_cols) == 7) {
+      found |= 8;
+    } else if (std::sscanf(l, "# workspaces created: %zu", &workspaces) ==
+               1) {
+      found |= 16;
+    }
+  }
+  ASSERT_EQ(found, 31) << resp.text;
+
+  EXPECT_EQ(submitted, as.submitted);
+  EXPECT_EQ(completed, as.completed);
+  EXPECT_EQ(batches, as.batches);
+  EXPECT_EQ(largest, as.largest_batch);
+  EXPECT_EQ(joined, as.joined_duplicates);
+  EXPECT_EQ(admission_shed, as.shed_admission);
+  EXPECT_EQ(peak, as.max_pending_seen);
+  EXPECT_EQ(size_flushes, as.size_flushes);
+  EXPECT_EQ(deadline_flushes, as.deadline_flushes);
+  EXPECT_EQ(drain_flushes, as.drain_flushes);
+  EXPECT_EQ(reorders, as.deadline_reorders);
+  EXPECT_EQ(size_flushes + deadline_flushes + drain_flushes, batches);
+
+  EXPECT_EQ(queries, es.queries);
+  EXPECT_EQ(sampled, es.sampled);
+  EXPECT_EQ(enumerated, es.enumerated);
+  EXPECT_EQ(exact, es.exact_shortcuts);
+  EXPECT_EQ(shed_deadline, es.shed_deadline);
+  EXPECT_EQ(midwalk, es.shed_midwalk);
+  EXPECT_EQ(shed_adm, as.shed_admission);
+
+  EXPECT_EQ(memo_hits, es.memo_hits);
+  EXPECT_EQ(memo_misses, es.memo_misses);
+  EXPECT_EQ(evictions, es.memo_evictions);
+  EXPECT_EQ(entries, es.memo_entries);
+  EXPECT_NEAR(kb, es.memo_bytes / 1024.0, 0.05);
+
+  EXPECT_EQ(planned, es.planned_queries);
+  EXPECT_EQ(trees, es.plan_trees);
+  EXPECT_EQ(plan_batches, es.plan_batches);
+  EXPECT_EQ(shared_cols, es.plan_shared_cols);
+  EXPECT_EQ(walk_cols, es.plan_walk_cols);
+  EXPECT_EQ(workspaces, es.workspaces_created);
 }
 
 TEST_F(NetServerTest, GracefulDrainDeliversEveryInFlightResponse) {
@@ -1033,8 +1254,8 @@ TEST_F(NetServerTest, FloodedTenantDoesNotPerturbTheOther) {
   EXPECT_EQ(flood_after.submitted - solo_after.submitted, solo_submitted);
   EXPECT_EQ(flood_after.shed_admission, 0u);
   EXPECT_EQ(flood_after.expired_victims, 0u);
-  EXPECT_EQ(beta->engine->stats().shed_deadline, 0u);
-  EXPECT_EQ(beta->engine->stats().shed_midwalk, 0u);
+  EXPECT_EQ(beta->engine->engine()->stats().shed_deadline, 0u);
+  EXPECT_EQ(beta->engine->engine()->stats().shed_midwalk, 0u);
 }
 
 }  // namespace

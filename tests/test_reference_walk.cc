@@ -216,7 +216,7 @@ TEST_P(ReferenceWalkTest, EveryRouteMatchesTheWalkerBitForBit) {
           InferenceEngineConfig cfg;
           cfg.num_threads = threads;
           cfg.group_width = width;  // 0 = AutoGroupWidth
-          cfg.enable_cache = false;
+          cfg.cache_budget_bytes = 0;
           InferenceEngine engine(cfg);
           for (size_t lo = 0; lo < queries.size(); lo += chunk) {
             const size_t hi = std::min(queries.size(), lo + chunk);

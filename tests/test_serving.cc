@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -98,6 +99,11 @@ std::vector<double> BatchEstimates(InferenceEngine* engine,
 }
 
 TEST(QueryKey, DistinguishesRegionsExactly) {
+  const auto RegionKey = [](const ValueSet& region) {
+    std::string key;
+    AppendRegionKey(region, &key);
+    return key;
+  };
   EXPECT_EQ(RegionKey(ValueSet::All(10)), RegionKey(ValueSet::All(12)));
   EXPECT_EQ(RegionKey(ValueSet::Interval(10, 2, 5)),
             RegionKey(ValueSet::Interval(10, 2, 5)));
@@ -186,7 +192,7 @@ TEST(InferenceEngine, WorkspaceReuseDoesNotLeakAcrossBatches) {
   // workspaces and still match a fresh estimator exactly.
   InferenceEngineConfig ecfg;
   ecfg.num_threads = 2;
-  ecfg.enable_cache = false;
+  ecfg.cache_budget_bytes = 0;
   InferenceEngine engine(ecfg);
 
   const std::vector<double> first_a = BatchEstimates(&engine, &est, batch_a);
@@ -275,7 +281,6 @@ TEST(InferenceEngine, LruEvictionNeverChangesAnEstimate) {
   const auto roomy_stats = roomy.stats();
   EXPECT_GT(tiny_stats.memo_evictions, 0u);
   EXPECT_LE(tiny_stats.memo_bytes, ecfg.cache_budget_bytes);
-  EXPECT_LE(tiny_stats.marginal_bytes, ecfg.cache_budget_bytes);
   EXPECT_EQ(roomy_stats.memo_evictions, 0u);
   EXPECT_GT(roomy_stats.memo_entries, 0u);
   EXPECT_GT(roomy_stats.memo_bytes, 0u);
@@ -369,11 +374,6 @@ TEST(InferenceEngine, EstimatorsSharingOneModelDoNotShareMemoEntries) {
     EXPECT_EQ(big_out[i], big_est.EstimateSelectivity(queries[i]))
         << "query " << i;
   }
-
-  // The marginal-mass cache, by contrast, IS config-independent and shared
-  // across the two estimators: the workload's leading-only query misses
-  // big_est's memo (different key) but hits the mass small_est cached.
-  EXPECT_GE(engine.stats().marginal_hits, 1u);
 }
 
 // Satellite of the plan-layer refactor: randomized batches with mixed
@@ -449,7 +449,7 @@ TEST(InferenceEngine, PlanLayoutIsResultInvariant) {
   // One whole-batch plan (cache off so every pass recomputes).
   InferenceEngineConfig planned_cfg;
   planned_cfg.num_threads = 2;
-  planned_cfg.enable_cache = false;
+  planned_cfg.cache_budget_bytes = 0;
   InferenceEngine planned(planned_cfg);
   const std::vector<double> whole = BatchEstimates(&planned, &est, queries);
   EXPECT_GT(planned.stats().plan_batches, 0u);
@@ -567,6 +567,57 @@ TEST(InferenceEngine, ExpiredDeadlinesAreShedWithTypedStatus) {
       queries[1], EstimateOptions{.deadline = EstimateOptions::DeadlineInMs(-1.0)});
   EXPECT_EQ(direct.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(direct.provenance, ResultProvenance::kShed);
+}
+
+// The per-request budget can arrive from outside the process (the wire
+// carries it as a u64). A budget over EstimateOptions::kMaxSamples is
+// rejected with a typed INVALID_ARGUMENT result before any key, memo
+// lookup or walk, on the one-request route and in batches; the cap itself
+// is served.
+TEST(InferenceEngine, SampleBudgetsAboveTheCapAreRejected) {
+  Table table = SmallTable(67);
+  OracleModel oracle(&table);
+  NaruEstimatorConfig ncfg;
+  ncfg.enumeration_threshold = 0;
+  NaruEstimator est(&oracle, ncfg, 0, "Oracle");
+  const Query query = ServingQueries(table, 71)[0];
+
+  // UINT64_MAX first: before the cap existed it wrapped the shard count to
+  // zero, and 2^40 would queue 2^33 (tree, shard) tasks.
+  const size_t over[] = {std::numeric_limits<size_t>::max(),
+                         EstimateOptions::kMaxSamples + 1, size_t{1} << 40};
+  for (const size_t budget : over) {
+    const EstimateResult r =
+        est.Estimate(query, EstimateOptions{.num_samples = budget});
+    ASSERT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+        << "budget " << budget;
+    EXPECT_TRUE(std::isnan(r.estimate));
+    EXPECT_EQ(r.samples_used, 0u);
+  }
+
+  std::vector<EstimateRequest> requests;
+  for (const size_t budget : over) {
+    requests.emplace_back(query, EstimateOptions{.num_samples = budget});
+  }
+  requests.emplace_back(
+      query, EstimateOptions{.num_samples = EstimateOptions::kMaxSamples});
+  InferenceEngine engine(InferenceEngineConfig{.num_threads = 2});
+  std::vector<EstimateResult> results;
+  engine.EstimateBatch(&est, requests, &results);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(results[i].status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(results[i].provenance, ResultProvenance::kUnknown);
+  }
+  ASSERT_TRUE(results[3].ok()) << results[3].status.ToString();
+  EXPECT_EQ(results[3].provenance, ResultProvenance::kPlannedGroup);
+  EXPECT_EQ(results[3].samples_used, EstimateOptions::kMaxSamples);
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.queries, 4u);
+  EXPECT_EQ(stats.memo_misses, 1u);  // only the capped request looked up
+  EXPECT_EQ(stats.sampled, 1u);
+  EXPECT_EQ(stats.shed_deadline, 0u);
+  EXPECT_EQ(stats.results_shed, 0u);
 }
 
 // Per-request sample budgets are part of the value contract: a request
@@ -865,7 +916,7 @@ TEST(InferenceEngine, MidWalkDeadlineAbandonsOnlyTheExpiredComputation) {
 
   InferenceEngineConfig ecfg;
   ecfg.num_threads = 2;
-  ecfg.enable_cache = false;  // identical recomputation across runs
+  ecfg.cache_budget_bytes = 0;  // identical recomputation across runs
 
   // Survivors: a handful of deadline-free requests.
   std::vector<EstimateRequest> survivors;
@@ -934,7 +985,7 @@ TEST(InferenceEngine, CoalescedComputationSurvivesWhileAnySharerIsLive) {
 
   InferenceEngineConfig ecfg;
   ecfg.num_threads = 2;
-  ecfg.enable_cache = false;
+  ecfg.cache_budget_bytes = 0;
   InferenceEngine engine(ecfg);
 
   std::vector<EstimateRequest> batch;
@@ -1003,7 +1054,7 @@ TEST(InferenceEngine, MidWalkDeadlineAbandonsExactEnumeration) {
 
   InferenceEngineConfig ecfg;
   ecfg.num_threads = 2;
-  ecfg.enable_cache = false;  // identical recomputation across runs
+  ecfg.cache_budget_bytes = 0;  // identical recomputation across runs
   InferenceEngine engine(ecfg);
 
   std::vector<EstimateRequest> survivors;
@@ -1102,7 +1153,7 @@ TEST(InferenceEngine, ConcurrentEnumerationsOnOneModelAreSerialized) {
   const double want = est.Estimate(enumerable).estimate;
   InferenceEngineConfig ecfg;
   ecfg.num_threads = 2;
-  ecfg.enable_cache = false;  // every batch enumerates again
+  ecfg.cache_budget_bytes = 0;  // every batch enumerates again
   InferenceEngine engine(ecfg);
   std::vector<EstimateResult> want_batch;
   engine.EstimateBatch(&est, batch, &want_batch);

@@ -322,10 +322,9 @@ TEST(AsyncEngine, LruBudgetHonoredUnderConcurrentSubmit) {
   // ...and the byte budget held throughout (occupancy is a live snapshot;
   // it can only ever be at or under budget because Insert evicts before
   // returning).
-  const auto stats = engine.stats();
+  const auto stats = engine.engine()->stats();
   EXPECT_GT(stats.memo_evictions, 0u);
   EXPECT_LE(stats.memo_bytes, acfg.engine.cache_budget_bytes);
-  EXPECT_LE(stats.marginal_bytes, acfg.engine.cache_budget_bytes);
 }
 
 // Satellite of the plan-layer PR: a query submitted while its identical
@@ -348,7 +347,7 @@ TEST(AsyncEngine, InFlightDuplicatesJoinTheirTwin) {
   acfg.max_batch_size = 1;  // every primary dispatches alone
   acfg.max_wait_ms = 0.0;
   acfg.engine.num_threads = 2;
-  acfg.engine.enable_cache = false;  // joining, not the memo, must dedup
+  acfg.engine.cache_budget_bytes = 0;  // joining, not the memo, must dedup
   AsyncEngine engine(acfg);
 
   std::atomic<size_t> callbacks{0};
@@ -399,7 +398,7 @@ TEST(AsyncEngine, DrainCoversPendingWorkDespiteConcurrentJoins) {
   AsyncEngineConfig acfg;
   acfg.max_batch_size = 1;
   acfg.max_wait_ms = 0.0;
-  acfg.engine.enable_cache = false;
+  acfg.engine.cache_budget_bytes = 0;
   AsyncEngine engine(acfg);
 
   std::vector<std::future<EstimateResult>> futures;
@@ -456,7 +455,7 @@ TEST(AsyncEngine, DestructorDeliversEverythingSubmittedBeforeIt) {
     AsyncEngineConfig acfg;
     acfg.max_batch_size = 4;
     acfg.max_wait_ms = 0.5;
-    acfg.engine.enable_cache = false;
+    acfg.engine.cache_budget_bytes = 0;
     AsyncEngine engine(acfg);
 
     std::vector<std::thread> submitters;
@@ -540,7 +539,7 @@ TEST(AsyncEngine, HighPriorityFlushesBeforeEarlierLowPriority) {
   acfg.max_batch_size = 1;  // one request per flush: order is observable
   acfg.max_wait_ms = 0.0;
   acfg.engine.num_threads = 2;
-  acfg.engine.enable_cache = false;
+  acfg.engine.cache_budget_bytes = 0;
   AsyncEngine engine(acfg);
 
   std::mutex mu;
@@ -582,9 +581,6 @@ TEST(AsyncEngine, HighPriorityFlushesBeforeEarlierLowPriority) {
   }
   EXPECT_LT(high_at, low_at) << "high priority did not jump the queue";
   EXPECT_GE(engine.async_stats().priority_flushes, 1u);
-  // The dispatcher-side counter is merged into the EngineStats snapshot.
-  EXPECT_EQ(engine.stats().priority_flushes,
-            engine.async_stats().priority_flushes);
 
   // Priority is a scheduling knob only: every estimate is still the
   // sequential one (the blocker under its per-request budget).
@@ -648,7 +644,7 @@ TEST(AsyncEngine, ExpiredDeadlinesShedTypedResults) {
     }
   }
   EXPECT_GT(shed, 0u);
-  const EngineStats stats = engine.stats();
+  const EngineStats stats = engine.engine()->stats();
   EXPECT_EQ(stats.shed_deadline, shed);
   EXPECT_EQ(stats.results_shed, shed);
 }
@@ -671,7 +667,7 @@ TEST(AsyncEngine, DrainCompletesLowPriorityDespiteHighPriorityFlood) {
   acfg.max_batch_size = 2;  // narrow flushes: priority order would matter
   acfg.max_wait_ms = 0.0;
   acfg.engine.num_threads = 2;
-  acfg.engine.enable_cache = false;  // every flood request costs a walk
+  acfg.engine.cache_budget_bytes = 0;  // every flood request costs a walk
   AsyncEngine engine(acfg);
 
   EstimateRequest low(queries[0]);
@@ -747,7 +743,7 @@ TEST(AsyncEngine, AdmissionControlShedsLowestClassFirstAndBoundsQueue) {
   acfg.max_wait_ms = 0.0;
   acfg.max_pending = 3;
   acfg.engine.num_threads = 2;
-  acfg.engine.enable_cache = false;
+  acfg.engine.cache_budget_bytes = 0;
   AsyncEngine engine(acfg);
 
   // Park the dispatcher so the queue state below is fully deterministic.
@@ -811,12 +807,15 @@ TEST(AsyncEngine, AdmissionControlShedsLowestClassFirstAndBoundsQueue) {
   EXPECT_EQ(astats.submitted, 7u);
   EXPECT_EQ(astats.completed, 7u);  // shed deliveries count as completed
   EXPECT_LE(astats.max_pending_seen, acfg.max_pending);
-  // The dispatcher-owned counter is merged into the EngineStats snapshot,
-  // and admission sheds are delivered shed results.
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.shed_admission, 3u);
-  EXPECT_EQ(stats.results_shed, 3u);
+  EXPECT_EQ(astats.shed_admission, 3u);
+  // Admission sheds never reach the engine, which counts no shed result;
+  // the rendered stats still report them as delivered shed results.
+  const EngineStats stats = engine.engine()->stats();
+  EXPECT_EQ(stats.results_shed, 0u);
   EXPECT_EQ(stats.shed_deadline, 0u);
+  const std::string text = FormatEngineStats(stats, astats);
+  EXPECT_NE(text.find("3 shed at admission)"), std::string::npos) << text;
+  EXPECT_NE(text.find("/ 3 shed;"), std::string::npos) << text;
 }
 
 // Satellite: deadline-aware admission. A FULL queue first looks for a
@@ -841,7 +840,7 @@ TEST(AsyncEngine, AdmissionEvictsExpiredPendingVictimFirst) {
   acfg.max_wait_ms = 0.0;
   acfg.max_pending = 3;
   acfg.engine.num_threads = 2;
-  acfg.engine.enable_cache = false;
+  acfg.engine.cache_budget_bytes = 0;
   AsyncEngine engine(acfg);
 
   // Park the dispatcher so the queue state below is fully deterministic.
@@ -926,12 +925,17 @@ TEST(AsyncEngine, AdmissionEvictsExpiredPendingVictimFirst) {
   EXPECT_EQ(f_norm.get().estimate, est.EstimateSelectivity(queries[4]));
   EXPECT_EQ(f_lowE.get().estimate, est.EstimateSelectivity(queries[7]));
 
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.shed_admission, 4u);
-  EXPECT_EQ(stats.shed_expired_victims, 2u);
-  EXPECT_EQ(stats.results_shed, 4u);
+  const AsyncEngineStats astats = engine.async_stats();
+  EXPECT_EQ(astats.shed_admission, 4u);
+  EXPECT_EQ(astats.expired_victims, 2u);
+  const EngineStats stats = engine.engine()->stats();
+  EXPECT_EQ(stats.results_shed, 0u);
   EXPECT_EQ(stats.shed_deadline, 0u)
       << "admission evictions must not masquerade as dispatch sheds";
+  const std::string text = FormatEngineStats(stats, astats);
+  EXPECT_NE(text.find("/ 4 shed;"), std::string::npos) << text;
+  EXPECT_NE(text.find("already expired when evicted: 2"), std::string::npos)
+      << text;
 }
 
 // Satellite bugfix: a flush forced by Drain (or stop) while the queue
@@ -952,7 +956,7 @@ TEST(AsyncEngine, DrainFlushOfFullQueueIsCountedAsDrainFlush) {
   acfg.max_batch_size = 3;
   acfg.max_wait_ms = 0.0;
   acfg.engine.num_threads = 2;
-  acfg.engine.enable_cache = false;
+  acfg.engine.cache_budget_bytes = 0;
   AsyncEngine engine(acfg);
 
   DispatcherHostage hostage;
@@ -1000,7 +1004,7 @@ TEST(AsyncEngine, SizeFlushWithoutDrainIsCountedAsSizeFlush) {
   acfg.max_batch_size = 3;
   acfg.max_wait_ms = 0.0;
   acfg.engine.num_threads = 2;
-  acfg.engine.enable_cache = false;
+  acfg.engine.cache_budget_bytes = 0;
   AsyncEngine engine(acfg);
 
   DispatcherHostage hostage;
@@ -1041,7 +1045,7 @@ TEST(AsyncEngine, TightestDeadlineIsCutFirstWithinAClass) {
   acfg.max_batch_size = 1;  // one request per flush: order is observable
   acfg.max_wait_ms = 0.0;
   acfg.engine.num_threads = 2;
-  acfg.engine.enable_cache = false;
+  acfg.engine.cache_budget_bytes = 0;
   AsyncEngine engine(acfg);
 
   DispatcherHostage hostage;

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -285,6 +286,28 @@ TEST(ThreadAnnotations, CondVarWaitUntilTimesOutWithoutNotify) {
   cv.WaitUntil(mu, deadline);
   EXPECT_FALSE(TryLockFromOtherThread(&mu));  // lock re-acquired by waiter
   mu.Unlock();
+}
+
+// Relative times from outside the process saturate instead of overflowing
+// the clock's int64 tick count.
+TEST(DeadlineAfterMs, SaturatesAtTheClockRange) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point from = Clock::now();
+  const std::chrono::duration<double, std::milli> delta =
+      DeadlineAfterMs(from, 250.0) - from;
+  EXPECT_NEAR(delta.count(), 250.0, 1e-6);
+  for (const double ms : {1e13, 1e300, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(DeadlineAfterMs(from, ms), kNoDeadline) << ms;
+  }
+  EXPECT_EQ(DeadlineAfterMs(Clock::time_point::max() - std::chrono::hours(1),
+                            2 * 3600e3),
+            kNoDeadline);
+  for (const double ms : {-1e13, -std::numeric_limits<double>::infinity()}) {
+    const Clock::time_point past = DeadlineAfterMs(from, ms);
+    EXPECT_EQ(past, Clock::time_point::min()) << ms;
+    EXPECT_TRUE(DeadlineExpired(past, from));
+  }
 }
 
 TEST(WalkControl, WithoutDeadlineNeverStops) {
