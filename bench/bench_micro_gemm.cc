@@ -13,7 +13,13 @@
 // 11-column walk on the perfbench model shape through a MADE session
 // (incremental trunk) vs the same walk through stateless
 // ConditionalDistWith (full trunk per column), plus the session walk's
-// slowest column step and its best-of time.
+// slowest column step and its best-of time. Beside the perfbench-shape
+// head GEMM, "softmax_rows" and "column_epilogue" rows time what a column
+// step does after that GEMM on its 1000x1175 logits block: SoftmaxRows
+// alone, and SoftmaxRows plus SamplerColumnStep's region mask and draw.
+// Each is timed on the native softmax path and on the portable fallback
+// (SetSimdLevelOverrideForTest(kNone), the libm exp loop), next to the
+// scalar head GEMM's time.
 //
 // Exit status: nonzero when a kernel's result diverges from scalar beyond
 // its epsilon, or a session walk step differs bitwise from its stateless
@@ -35,10 +41,13 @@
 
 #include "bench_common.h"
 #include "core/made.h"
+#include "core/sampler.h"
 #include "data/datasets.h"
+#include "query/query.h"
 #include "tensor/gemm.h"
 #include "tensor/kernel.h"
 #include "tensor/matrix.h"
+#include "tensor/ops.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -197,6 +206,69 @@ bool RunWalkRows(double min_seconds, size_t rows, BenchJsonWriter* json,
   return ok;
 }
 
+// The column step's work after the head GEMM, on that GEMM's logits
+// (m paths x the column's n values): SoftmaxRows alone ("softmax_rows")
+// and SoftmaxRows plus SamplerColumnStep's mask and draw under a range
+// predicate keeping about half the column ("column_epilogue"), each on
+// the native path and the portable fallback. `head_gemm_ms` is the
+// scalar head GEMM's time for the same block.
+void RunEpilogueRows(double min_seconds, const Matrix& logits,
+                     double head_gemm_ms, BenchJsonWriter* json) {
+  const size_t m = logits.rows();
+  const size_t n = logits.cols();
+  // A model whose position 6 has the block's domain: the mask reads only
+  // the query's region there, and FallbackCode its first code.
+  std::vector<size_t> domains(7, 2);
+  domains[6] = n;
+  MadeModel model(domains, MadeModel::Config{});
+  std::vector<ValueSet> regions;
+  for (size_t d : domains) regions.push_back(ValueSet::All(d));
+  regions[6] = ValueSet::Interval(n, static_cast<int64_t>(n / 4),
+                                  static_cast<int64_t>(n * 3 / 4));
+  const Query query(std::move(regions));
+  IntMatrix samples(m, domains.size());
+  samples.Fill(0);
+  Matrix probs;
+  std::vector<double> weights(m);
+  std::vector<uint8_t> alive(m);
+  Rng rng(13);
+
+  std::printf("\n%-20s %-14s %-10s %10s %14s\n", "epilogue", "m x n", "path",
+              "ms", "vs_head_gemm");
+  for (const bool fallback : {false, true}) {
+    if (fallback) SetSimdLevelOverrideForTest(SimdLevel::kNone);
+    const char* path = fallback ? "fallback" : "native";
+    const double softmax_ms =
+        BestMs(min_seconds, [&] { SoftmaxRows(logits, &probs); });
+    const double epilogue_ms = BestMs(min_seconds, [&] {
+      SoftmaxRows(logits, &probs);
+      std::fill(weights.begin(), weights.end(), 1.0);
+      std::fill(alive.begin(), alive.end(), 1);
+      const SamplerRowBlock block{&samples, &probs, weights.data(),
+                                  alive.data(), 0, m};
+      SamplerColumnStep(&model, query, 6, /*wildcard=*/false, block, &rng);
+    });
+    if (fallback) ClearSimdLevelOverrideForTest();
+    const std::string dims = StrFormat("%zux%zu", m, n);
+    for (const auto& [shape, ms] :
+         {std::pair<const char*, double>{"softmax_rows", softmax_ms},
+          {"column_epilogue", epilogue_ms}}) {
+      const double vs_gemm = head_gemm_ms > 0 ? ms / head_gemm_ms : 0;
+      std::printf("%-20s %-14s %-10s %10.3f %13.2fx\n", shape, dims.c_str(),
+                  path, ms, vs_gemm);
+      json->AddRow({{"shape", shape},
+                    {"op", "epilogue"},
+                    {"m", m},
+                    {"k", 0},
+                    {"n", n},
+                    {"path", path},
+                    {"time_ms", ms},
+                    {"head_gemm_ms", head_gemm_ms},
+                    {"vs_head_gemm", vs_gemm}});
+    }
+  }
+}
+
 int Run() {
   const bool smoke = GetEnvBool("NARU_SMOKE", false);
   const double min_seconds = smoke ? 0.02 : 0.25;
@@ -236,6 +308,10 @@ int Run() {
   Rng rng(5);
   bool ok = true;
   double made_hidden_simd_speedup = 0;
+  // The perfbench-shape head (the last case): its scalar logits and time
+  // feed the epilogue rows.
+  Matrix column6_logits;
+  double column6_gemm_ms = 0;
 
   for (const Case& cs : cases) {
     Matrix a(cs.m, cs.k);
@@ -266,6 +342,11 @@ int Run() {
       if (kernel == KernelKind::kScalar) {
         scalar_gflops = gflops;
         ref = out;
+        if (nt && cs.m == 1000) {
+          column6_logits = out;
+          column6_gemm_ms = 2.0 * static_cast<double>(cs.m * cs.k * cs.n) /
+                            (gflops * 1e6);
+        }
       } else {
         rel_err = MaxRelErr(ref, out);
         // The SIMD kernels reassociate (FMA) but compute the same sums.
@@ -294,6 +375,8 @@ int Run() {
                    {"max_rel_err", rel_err}});
     }
   }
+
+  RunEpilogueRows(min_seconds, column6_logits, column6_gemm_ms, &json);
 
   bool session_slower = false;
   if (!RunWalkRows(min_seconds, smoke ? 128 : 1000, &json, &session_slower)) {

@@ -81,6 +81,14 @@ class ConditionalModel {
   /// region identically for every path; factorized models restrict a low
   /// sub-column using the already-sampled high part, which is why the
   /// prefix is part of the contract.
+  ///
+  /// The returned mass is the ascending chain of double adds, from +0,
+  /// of the float entries the mask keeps. Adding the zeroed entries (+0)
+  /// would not change it, so it has the bits of the whole masked row's
+  /// ascending sum, and SamplerColumnStep passes it to
+  /// Rng::Categorical as the draw's total instead of summing the row
+  /// again. An override must keep this order, or the draws (and the
+  /// golden estimates) change.
   virtual double MaskProbsToRegion(const Query& query, const int32_t* prefix,
                                    size_t pos, float* probs_row) const {
     (void)prefix;

@@ -134,13 +134,18 @@ double FactorizedModel::MaskHigh(const ValueSet& region, const Position& p,
       return mass;
     }
     case ValueSet::Kind::kSet: {
-      std::vector<uint8_t> allowed(dh, 0);
-      for (int32_t code : region.codes()) {
-        allowed[static_cast<size_t>(code) >> p.shift] = 1;
-      }
+      // The codes are sorted, so their high parts are non-decreasing: one
+      // cursor walks them beside v.
+      const std::vector<int32_t>& codes = region.codes();
+      size_t k = 0;
       double mass = 0;
       for (size_t v = 0; v < dh; ++v) {
-        if (allowed[v]) {
+        while (k < codes.size() &&
+               (static_cast<size_t>(codes[k]) >> p.shift) < v) {
+          ++k;
+        }
+        if (k < codes.size() &&
+            (static_cast<size_t>(codes[k]) >> p.shift) == v) {
           mass += probs_row[v];
         } else {
           probs_row[v] = 0.0f;
@@ -168,15 +173,14 @@ double FactorizedModel::MaskLow(const ValueSet& region, const Position& p,
       hi = std::min<int64_t>(hi, region.hi() - base);
       break;
     case ValueSet::Kind::kSet: {
+      // Walk the sorted codes of this block, [base, base + vmax), beside v.
+      const std::vector<int32_t>& codes = region.codes();
+      auto it = std::lower_bound(codes.begin(), codes.end(), base);
       double mass = 0;
-      std::vector<uint8_t> allowed(static_cast<size_t>(block), 0);
-      for (int32_t code : region.codes()) {
-        const int64_t rel = static_cast<int64_t>(code) - base;
-        if (rel >= 0 && rel < vmax) allowed[static_cast<size_t>(rel)] = 1;
-      }
       for (int64_t v = 0; v < block; ++v) {
-        if (allowed[static_cast<size_t>(v)]) {
+        if (it != codes.end() && v < vmax && *it - base == v) {
           mass += probs_row[v];
+          ++it;
         } else {
           probs_row[v] = 0.0f;
         }

@@ -65,8 +65,12 @@ void SamplerColumnStep(const ConditionalModel* model, const Query& query,
     }
     block.weights[r] *= std::min(mass, 1.0);
     // Draw from the truncated, renormalized conditional (the row has
-    // been zeroed outside the region; Categorical renormalizes).
-    const size_t v = rng->Categorical(row, d);
+    // been zeroed outside the region; Categorical renormalizes). A
+    // constrained column's mass is already the row's ascending double sum
+    // (the MaskProbsToRegion contract: the zeroed entries add +0), so
+    // the draw takes it as its total instead of summing the row again.
+    const size_t v =
+        wildcard ? rng->Categorical(row, d) : rng->Categorical(row, d, mass);
     block.samples->At(row_index, col) = static_cast<int32_t>(v);
   }
 }

@@ -16,12 +16,39 @@ void ReluBackward(const Matrix& x, const Matrix& dy, Matrix* dx);
 
 /// Softmax over each row of `logits` into `probs` (may alias).
 /// Numerically stabilized by per-row max subtraction.
+///
+/// Bits: each row is the ascending std::max chain for its max, std::exp
+/// of (x - max) per entry, one ascending chain of double adds for the sum
+/// and a multiply by float(1 / sum), whichever path runs. Where
+/// FastExpfEnabled() holds, the row max is a vector max (the std::max
+/// chain for rows holding a NaN, where the two differ), the exps come from
+/// ExpfFma4, each row's chain of adds runs in one lane of a vector beside
+/// three other rows', and the normalising multiplies are vector
+/// multiplies; elsewhere it is the plain per-entry loop.
 void SoftmaxRows(const Matrix& logits, Matrix* probs);
 
-/// Softmax over columns [begin, end) of each row, writing into the
-/// corresponding columns of `probs` (other columns untouched).
-void SoftmaxRowsSlice(const Matrix& logits, size_t begin, size_t end,
-                      Matrix* probs);
+/// True when SoftmaxRows takes its fast path: DetectedSimdLevel() is
+/// kAvx2 (an x86-64 host with AVX2 and FMA) and a one-time probe found
+/// ExpfFma and ExpfFma4 equal to std::exp, bit for bit, on a fixed set
+/// of inputs. The exp's bits come from the host's libm, so the probe
+/// keeps the in-repo exp from changing the golden bits on a host whose
+/// libm computes differently. The set includes -0x1.f8cbb2p+5
+/// (0xc27c65d9), the one input in [-88, 0] where glibc's non-FMA
+/// build's expf differs from its FMA build's, so a libm of the non-FMA
+/// kind turns the fast path off. The probe runs on the first call that
+/// finds kAvx2; SetSimdLevelOverrideForTest(kNone) reaches the fallback.
+bool FastExpfEnabled();
+
+/// exp(x) with the bits of glibc's expf as its x86-64 FMA build computes
+/// it (the table-driven scheme glibc has used since 2.27: a 32-entry
+/// 2^(i/32) table, a degree-3 polynomial in double and one rounding to
+/// float). The scheme covers x in (-87, 0]; any other x (positive,
+/// <= -87, -inf, NaN) is passed to std::exp. Requires an AVX2+FMA CPU
+/// (DetectedSimdLevel() == kAvx2) on x86-64; elsewhere both are
+/// std::exp. ExpfFma4 computes out[i] = ExpfFma(x[i]) for i < 4, with the
+/// four lanes in one vector.
+float ExpfFma(float x);
+void ExpfFma4(const float* x, float* out);
 
 /// log(sum(exp(row[begin:end]))) with max-subtraction, for one row.
 double LogSumExpSlice(const float* row, size_t begin, size_t end);

@@ -88,9 +88,13 @@ size_t Rng::Categorical(const double* weights, size_t n) {
 }
 
 size_t Rng::Categorical(const float* weights, size_t n) {
-  NARU_DCHECK(n > 0);
   double total = 0;
   for (size_t i = 0; i < n; ++i) total += weights[i];
+  return Categorical(weights, n, total);
+}
+
+size_t Rng::Categorical(const float* weights, size_t n, double total) {
+  NARU_DCHECK(n > 0);
   NARU_CHECK_MSG(total > 0, "Categorical requires positive total weight");
   double r = UniformDouble() * total;
   double acc = 0;

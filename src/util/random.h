@@ -45,6 +45,11 @@ class Rng {
   }
   /// Float-weight overload (used for sampling from model softmax rows).
   size_t Categorical(const float* weights, size_t n);
+  /// The same draw with the weights' total supplied by the caller. It
+  /// gives the overload above's result only when `total` has the bits of
+  /// that overload's sum: the ascending chain of double adds of
+  /// weights[0..n) from +0.
+  size_t Categorical(const float* weights, size_t n, double total);
 
   /// Zipf-distributed integer in [0, n) with exponent `s` (s=0 is uniform).
   /// Uses an O(n) precomputed table-free rejection-less inverse-CDF on first

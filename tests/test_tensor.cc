@@ -142,22 +142,6 @@ TEST(Ops, SoftmaxIsShiftInvariant) {
   for (size_t c = 0; c < 3; ++c) EXPECT_NEAR(p.At(0, c), q.At(0, c), 1e-6);
 }
 
-TEST(Ops, SoftmaxSlice) {
-  Matrix logits(2, 6);
-  logits.Fill(0.0f);
-  logits.At(0, 2) = 5.0f;
-  Matrix probs(2, 6);
-  probs.Fill(-1.0f);
-  SoftmaxRowsSlice(logits, 2, 5, &probs);
-  // Columns outside [2, 5) untouched.
-  EXPECT_FLOAT_EQ(probs.At(0, 0), -1.0f);
-  EXPECT_FLOAT_EQ(probs.At(0, 5), -1.0f);
-  double sum = 0;
-  for (size_t c = 2; c < 5; ++c) sum += probs.At(0, c);
-  EXPECT_NEAR(sum, 1.0, 1e-5);
-  EXPECT_GT(probs.At(0, 2), 0.9f);
-}
-
 TEST(Ops, LogSumExpSlice) {
   const float row[4] = {0.0f, 1.0f, 2.0f, 100.0f};
   const double lse = LogSumExpSlice(row, 0, 3);
