@@ -10,8 +10,10 @@
 //
 // INVARIANT: padding elements (columns [cols(), stride()) of each row) are
 // always zero. Every Matrix mutation path maintains this: construction,
-// Resize and Fill zero the padding, and kernels only write logical columns
-// (GEMM C-padding stays zero because B/W padding is zero). Flat loops over
+// Resize and Fill zero the padding, ResizeForOverwrite's one caller
+// (GatherRows) copies whole zero-padded rows, and kernels only write
+// logical columns (GEMM C-padding stays zero because B/W padding is
+// zero). Flat loops over
 // [data(), data() + size()) are allowed only when they preserve zeros at
 // zero — e.g. relu, axpy, scale, Adam updates — which all existing flat
 // users do. size() is the PHYSICAL buffer length (rows * stride), not
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/macros.h"
@@ -30,7 +33,10 @@ namespace naru {
 
 /// Minimal std::allocator replacement with a fixed over-alignment, used so
 /// Matrix can keep std::vector value semantics while guaranteeing 64-byte
-/// base alignment.
+/// base alignment. Elements constructed without a value are left
+/// uninitialized (default-, not value-initialized), so vector::resize(n)
+/// grows without a zero pass; Matrix names the value wherever it needs
+/// zeros.
 template <typename T, size_t kAlign>
 class AlignedAllocator {
  public:
@@ -46,6 +52,15 @@ class AlignedAllocator {
   }
   void deallocate(T* p, size_t) noexcept {
     ::operator delete(p, std::align_val_t(kAlign));
+  }
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <typename U>
@@ -121,12 +136,25 @@ class Matrix {
     if (cols == cols_) {
       // vector::resize keeps the prefix and zero-fills growth, which keeps
       // both the preservation contract and the padding invariant.
-      data_.resize(rows * stride);
+      data_.resize(rows * stride, 0.0f);
     } else {
       // A cols change (even within the same stride) could leave old data in
       // what is now padding, so start from zeros.
       data_.assign(rows * stride, 0.0f);
     }
+    rows_ = rows;
+    cols_ = cols;
+    stride_ = stride;
+  }
+
+  /// Reshapes to (rows, cols) for a caller that then writes every
+  /// element, padding included (all rows * stride() floats, zeros in the
+  /// padding): nothing is initialized or kept, and a buffer that must
+  /// grow is reallocated without copying the old contents.
+  void ResizeForOverwrite(size_t rows, size_t cols) {
+    const size_t stride = PaddedStride(cols);
+    if (rows * stride > data_.capacity()) data_.clear();
+    data_.resize(rows * stride);
     rows_ = rows;
     cols_ = cols;
     stride_ = stride;

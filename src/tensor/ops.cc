@@ -384,9 +384,11 @@ void GatherColumns(const Matrix& in, const std::vector<size_t>& cols,
 
 void GatherRows(const Matrix& in, const std::vector<size_t>& rows,
                 Matrix* out) {
-  out->Resize(rows.size(), in.cols());
+  // Whole padded rows: the source's zero padding lands in out's padding,
+  // so every element of out is written and none needs zeroing first.
+  out->ResizeForOverwrite(rows.size(), in.cols());
   for (size_t i = 0; i < rows.size(); ++i) {
-    std::copy(in.Row(rows[i]), in.Row(rows[i]) + in.cols(), out->Row(i));
+    std::copy(in.Row(rows[i]), in.Row(rows[i]) + in.stride(), out->Row(i));
   }
 }
 

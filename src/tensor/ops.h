@@ -60,7 +60,9 @@ void Axpy(const Matrix& a, float scale, Matrix* c);
 void GatherColumns(const Matrix& in, const std::vector<size_t>& cols,
                    Matrix* out);
 
-/// out (rows.size() x cols) = rows rows[0], rows[1], ... of `in`.
+/// out (rows.size() x cols) = rows rows[0], rows[1], ... of `in` (out
+/// must not alias in). Copies whole padded rows into a buffer it does not
+/// zero first.
 void GatherRows(const Matrix& in, const std::vector<size_t>& rows,
                 Matrix* out);
 
