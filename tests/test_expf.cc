@@ -52,18 +52,20 @@ TEST(Expf, MatchesLibmOnEveryNonPositiveFloat) {
   const unsigned threads =
       std::clamp(std::thread::hardware_concurrency(), 1u, 8u);
   const uint64_t count = kSweepLast - kSweepFirst + 1;
+  // Contiguous slices, each a multiple of 4 long but the last, so the
+  // 4-lane path sees consecutive inputs.
+  const uint64_t per = ((count + threads - 1) / threads + 3) / 4 * 4;
+  std::atomic<uint64_t> checked{0};
   std::atomic<uint64_t> mismatches{0};
   std::atomic<uint32_t> first_bad{0};
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      // Contiguous slices, each a multiple of 4 long but the last, so the
-      // 4-lane path sees consecutive inputs.
-      const uint64_t per = (count / threads + 3) / 4 * 4;
       const uint64_t lo = kSweepFirst + per * t;
       const uint64_t hi = std::min(kSweepLast + 1, lo + per);
       uint64_t bad = 0;
       uint32_t bad_bits = 0;
+      if (lo < hi) checked.fetch_add(hi - lo, std::memory_order_relaxed);
       for (uint64_t b = lo; b < hi; b += 4) {
         float x[4];
         float want[4];
@@ -92,6 +94,7 @@ TEST(Expf, MatchesLibmOnEveryNonPositiveFloat) {
               "%llu mismatches\n",
               static_cast<unsigned long long>(count), threads,
               static_cast<unsigned long long>(mismatches.load()));
+  EXPECT_EQ(checked.load(), count);
   EXPECT_EQ(mismatches.load(), 0u)
       << "e.g. at bits 0x" << std::hex << first_bad.load();
 }
