@@ -1,7 +1,6 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -36,12 +35,19 @@ void ReluBackward(const Matrix& x, const Matrix& dy, Matrix* dx) {
 
 namespace {
 
+// The ascending std::max chain: ignores a NaN after the first entry and
+// returns NaN when the first entry is one.
+float RowMaxChain(const float* in, size_t n) {
+  float mx = in[0];
+  for (size_t i = 1; i < n; ++i) mx = std::max(mx, in[i]);
+  return mx;
+}
+
 // The softmax loop the fast path must reproduce bit for bit, and the one
 // it falls back to: an ascending std::max chain, std::exp per entry, one
 // ascending chain of double adds, one float reciprocal.
 void SoftmaxRowLibm(const float* in, float* out, size_t n) {
-  float mx = in[0];
-  for (size_t i = 1; i < n; ++i) mx = std::max(mx, in[i]);
+  const float mx = RowMaxChain(in, n);
   double sum = 0;
   for (size_t i = 0; i < n; ++i) {
     const float e = std::exp(in[i] - mx);
@@ -184,16 +190,13 @@ __attribute__((target("avx2,fma"))) float RowMaxAvx2(const float* in,
   return m;
 }
 
-// out[0, n) = exp(in[i] - max) for one row; returns nothing, the sums are
-// taken afterwards so that rows can share them.
+// out[i] = exp(in[i] - max) for i < n. The row's sum is taken afterwards,
+// beside three other rows' (SumRows4Avx2).
 __attribute__((target("avx2,fma"))) void RowExpAvx2(const float* in,
                                                     float* out, size_t n) {
   bool has_nan = false;
   float mx = RowMaxAvx2(in, n, &has_nan);
-  if (has_nan) {
-    mx = in[0];
-    for (size_t i = 1; i < n; ++i) mx = std::max(mx, in[i]);
-  }
+  if (has_nan) mx = RowMaxChain(in, n);
   const __m128 vmx = _mm_set1_ps(mx);
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -201,8 +204,8 @@ __attribute__((target("avx2,fma"))) void RowExpAvx2(const float* in,
                   ExpfFma4Lanes(_mm_sub_ps(_mm_loadu_ps(in + i), vmx)));
   }
   if (i < n) {
-    // Lanes past the row read 0 (a fast-domain input) and are not stored,
-    // so the padding keeps its zeros.
+    // Lanes past the row are set to 0 (a fast-domain input) and not
+    // stored, so the padding keeps its zeros.
     const __m128i keep = FirstLanes(n - i);
     const __m128 x = _mm_sub_ps(_mm_maskload_ps(in + i, keep), vmx);
     const __m128 e = ExpfFma4Lanes(_mm_and_ps(x, _mm_castsi128_ps(keep)));
@@ -297,8 +300,9 @@ bool ProbeExpfMatchesLibm() {
     // not what libm returns for every input).
     volatile float vx = x;
     const float want = std::exp(static_cast<float>(vx));
+    const float xs[4] = {x, x, x, x};
     float got4[4];
-    ExpfFma4(std::array<float, 4>{x, x, x, x}.data(), got4);
+    ExpfFma4(xs, got4);
     for (float got : {ExpfFma(x), got4[0], got4[3]}) {
       if (std::memcmp(&got, &want, sizeof(got)) != 0) return false;
     }
@@ -341,7 +345,6 @@ bool FastExpfEnabled() { return false; }
 
 void SoftmaxRows(const Matrix& logits, Matrix* probs) {
   if (probs != &logits) probs->Resize(logits.rows(), logits.cols());
-  if (logits.cols() == 0) return;
 #if NARU_HAVE_X86_64
   if (FastExpfEnabled()) {
     SoftmaxRowsAvx2(logits, probs);
