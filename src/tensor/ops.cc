@@ -35,19 +35,12 @@ void ReluBackward(const Matrix& x, const Matrix& dy, Matrix* dx) {
 
 namespace {
 
-// The ascending std::max chain: ignores a NaN after the first entry and
-// returns NaN when the first entry is one.
-float RowMaxChain(const float* in, size_t n) {
-  float mx = in[0];
-  for (size_t i = 1; i < n; ++i) mx = std::max(mx, in[i]);
-  return mx;
-}
-
 // The softmax loop the fast path must reproduce bit for bit, and the one
 // it falls back to: an ascending std::max chain, std::exp per entry, one
 // ascending chain of double adds, one float reciprocal.
 void SoftmaxRowLibm(const float* in, float* out, size_t n) {
-  const float mx = RowMaxChain(in, n);
+  float mx = in[0];
+  for (size_t i = 1; i < n; ++i) mx = std::max(mx, in[i]);
   double sum = 0;
   for (size_t i = 0; i < n; ++i) {
     const float e = std::exp(in[i] - mx);
@@ -161,32 +154,21 @@ __attribute__((target("avx2,fma"))) inline __m128i FirstLanes(size_t m) {
                          _mm_setr_epi32(0, 1, 2, 3));
 }
 
-// Row max as the vector max of the row; a row holding a NaN reports it
-// through *has_nan (the vector max would drop it, the std::max chain
-// keeps a leading NaN). Among non-NaN values the max is the same value in
-// any order up to the sign of a zero, and x - (+0) == x - (-0) except for
-// the sign of a zero result, whose exp is 1 either way.
+// Row max as a vector max. It equals the std::max chain's up to the sign
+// of a zero max, and x - (+0) == x - (-0) except for the sign of a zero
+// result, whose exp is 1 either way. A row holding a NaN needs no chain
+// either: its NaN reaches the row's sum, so every output of the row is
+// NaN whatever the max is.
 __attribute__((target("avx2,fma"))) float RowMaxAvx2(const float* in,
-                                                     size_t n,
-                                                     bool* has_nan) {
+                                                     size_t n) {
   __m256 mx = _mm256_set1_ps(-INFINITY);
-  __m256 nan = _mm256_setzero_ps();
   size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(in + i);
-    mx = _mm256_max_ps(mx, v);
-    nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
-  }
+  for (; i + 8 <= n; i += 8) mx = _mm256_max_ps(_mm256_loadu_ps(in + i), mx);
   alignas(32) float lanes[8];
   _mm256_store_ps(lanes, mx);
   float m = lanes[0];
   for (int k = 1; k < 8; ++k) m = std::max(m, lanes[k]);
-  bool any_nan = _mm256_movemask_ps(nan) != 0;
-  for (; i < n; ++i) {
-    any_nan = any_nan || std::isnan(in[i]);
-    m = std::max(m, in[i]);
-  }
-  *has_nan = any_nan;
+  for (; i < n; ++i) m = std::max(m, in[i]);
   return m;
 }
 
@@ -194,10 +176,7 @@ __attribute__((target("avx2,fma"))) float RowMaxAvx2(const float* in,
 // beside three other rows' (SumRows4Avx2).
 __attribute__((target("avx2,fma"))) void RowExpAvx2(const float* in,
                                                     float* out, size_t n) {
-  bool has_nan = false;
-  float mx = RowMaxAvx2(in, n, &has_nan);
-  if (has_nan) mx = RowMaxChain(in, n);
-  const __m128 vmx = _mm_set1_ps(mx);
+  const __m128 vmx = _mm_set1_ps(RowMaxAvx2(in, n));
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     _mm_storeu_ps(out + i,

@@ -20,8 +20,8 @@ void ReluBackward(const Matrix& x, const Matrix& dy, Matrix* dx);
 /// Bits: each row is the ascending std::max chain for its max, std::exp
 /// of (x - max) per entry, one ascending chain of double adds for the sum
 /// and a multiply by float(1 / sum), whichever path runs. Where
-/// FastExpfEnabled() holds, the row max is a vector max (the std::max
-/// chain for rows holding a NaN, where the two differ), the exps come from
+/// FastExpfEnabled() holds, the row max is a vector max (a row holding a
+/// NaN comes out all NaN on either path, whatever its max), the exps come from
 /// ExpfFma4, each row's chain of adds runs in one lane of a vector beside
 /// three other rows', and the normalising multiplies are vector
 /// multiplies; elsewhere it is the plain per-entry loop.
