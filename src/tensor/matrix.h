@@ -13,10 +13,9 @@
 // Resize and Fill zero the padding, ResizeForOverwrite's one caller
 // (GatherRows) copies whole zero-padded rows, and kernels only write
 // logical columns (GEMM C-padding stays zero because B/W padding is
-// zero). Flat loops over
-// [data(), data() + size()) are allowed only when they preserve zeros at
-// zero — e.g. relu, axpy, scale, Adam updates — which all existing flat
-// users do. size() is the PHYSICAL buffer length (rows * stride), not
+// zero). Flat loops over [data(), data() + size()) are allowed only when
+// they preserve zeros at zero — e.g. relu, axpy, scale, Adam updates —
+// which all existing flat users do. size() is the PHYSICAL buffer length (rows * stride), not
 // rows * cols.
 #pragma once
 

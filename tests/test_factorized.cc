@@ -4,7 +4,9 @@
 // shrinkage, and compressor round-trips through the factorized layout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/compress.h"
 #include "core/enumerator.h"
@@ -15,6 +17,7 @@
 #include "core/trainer.h"
 #include "data/datasets.h"
 #include "query/executor.h"
+#include "util/random.h"
 
 namespace naru {
 namespace {
@@ -265,6 +268,76 @@ TEST(FactorizedModel, ExactPowerOfTwoDomainHasNoInvalidMass) {
   ncfg.num_samples = 8;
   NaruEstimator estimator(&model, ncfg, 0);
   EXPECT_EQ(estimator.EstimateSelectivity(all), 1.0);
+}
+
+TEST(FactorizedModel, InListMasksMatchAllowedSetMasks) {
+  // IN-list masks on the high and low positions of a split column,
+  // against a reference that marks the allowed sub-codes in a vector:
+  // same zeroed entries, and the mass as the same ascending double sum
+  // (the draw takes that mass as its total, so its bits matter).
+  const std::vector<size_t> domains = {5, 300, 4};
+  FactorizedModel model = MakeFactorized(domains, 64, 7);
+  const size_t high_pos = 1;
+  const size_t low_pos = 2;
+  const auto& high = model.layout().position(high_pos);
+  const auto& low = model.layout().position(low_pos);
+  ASSERT_TRUE(high.is_high && low.is_low);
+  const size_t block = size_t{1} << low.shift;
+  Rng rng(29);
+  const std::vector<std::vector<int32_t>> lists = {
+      {0},          {299},          {3, 64, 65, 255, 299},
+      {0, 1, 2, 3}, {63, 64, 127, 128, 256, 298}};
+  for (const auto& codes : lists) {
+    const Query q({ValueSet::All(5), ValueSet::Set(300, codes),
+                   ValueSet::All(4)});
+    std::vector<float> row(high.domain);
+    for (float& v : row) v = static_cast<float>(rng.UniformDouble());
+    std::vector<float> want = row;
+    double want_mass = 0;
+    std::vector<uint8_t> allowed(high.domain, 0);
+    for (int32_t c : codes) allowed[static_cast<size_t>(c) >> high.shift] = 1;
+    for (size_t v = 0; v < high.domain; ++v) {
+      if (allowed[v]) {
+        want_mass += want[v];
+      } else {
+        want[v] = 0.0f;
+      }
+    }
+    int32_t prefix[4] = {0, 0, 0, 0};
+    const double mass =
+        model.MaskProbsToRegion(q, prefix, high_pos, row.data());
+    EXPECT_EQ(std::memcmp(&mass, &want_mass, sizeof(mass)), 0);
+    EXPECT_EQ(std::memcmp(row.data(), want.data(), row.size() * 4), 0);
+
+    for (size_t h = 0; h < high.domain; ++h) {
+      std::vector<float> lrow(block);
+      for (float& v : lrow) v = static_cast<float>(rng.UniformDouble());
+      std::vector<float> lwant = lrow;
+      const int64_t base = static_cast<int64_t>(h << low.shift);
+      const int64_t vmax = std::min<int64_t>(static_cast<int64_t>(block),
+                                             300 - base);
+      std::vector<uint8_t> lallowed(block, 0);
+      for (int32_t c : codes) {
+        const int64_t rel = c - base;
+        if (rel >= 0 && rel < vmax) lallowed[static_cast<size_t>(rel)] = 1;
+      }
+      double lwant_mass = 0;
+      for (size_t v = 0; v < block; ++v) {
+        if (lallowed[v]) {
+          lwant_mass += lwant[v];
+        } else {
+          lwant[v] = 0.0f;
+        }
+      }
+      prefix[high_pos] = static_cast<int32_t>(h);
+      const double lmass =
+          model.MaskProbsToRegion(q, prefix, low_pos, lrow.data());
+      EXPECT_EQ(std::memcmp(&lmass, &lwant_mass, sizeof(lmass)), 0)
+          << "high part " << h;
+      EXPECT_EQ(std::memcmp(lrow.data(), lwant.data(), lrow.size() * 4), 0)
+          << "high part " << h;
+    }
+  }
 }
 
 }  // namespace
