@@ -15,8 +15,8 @@
 // logical columns (GEMM C-padding stays zero because B/W padding is
 // zero). Flat loops over [data(), data() + size()) are allowed only when
 // they preserve zeros at zero — e.g. relu, axpy, scale, Adam updates —
-// which all existing flat users do. size() is the PHYSICAL buffer length (rows * stride), not
-// rows * cols.
+// which all existing flat users do. size() is the PHYSICAL buffer length
+// (rows * stride), not rows * cols.
 #pragma once
 
 #include <algorithm>
